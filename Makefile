@@ -1,25 +1,16 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-quick fuzz fmt-check ci test-nommsg test-nogso test-nommsg-nogso test-nouring test-debug
+.PHONY: build test race vet bench bench-quick fuzz fmt-check ci test-nommsg test-debug test-rpcbench
 
 # The portable per-packet UDP engine, forced on Linux via the nommsg
 # build tag (CI runs this so the fallback cannot rot).
 test-nommsg:
 	$(GO) test -tags=nommsg ./...
 
-# The mmsg engine without segmentation offload (nogso tag), and the
-# fully portable stack (both tags) — CI runs both legs.
-test-nogso:
-	$(GO) test -tags=nogso ./...
-
-test-nommsg-nogso:
-	$(GO) test -tags=nommsg,nogso ./...
-
-# The syscall-engine stack without the io_uring engine (nouring tag):
-# the Uring constructors must fall back to the auto chain and the full
-# suite must still pass — CI runs this leg.
-test-nouring:
-	$(GO) test -tags=nouring ./...
+# rpcbench is a nested module, so the root `go test ./...` skips it;
+# its smoke test runs the benchmark end to end on every workload.
+test-rpcbench:
+	cd rpcbench && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -46,15 +37,12 @@ test-debug:
 # bench regenerates the recorded benchmark artifacts: BENCH_datapath.json
 # (the burst-datapath multicore sweep: simulated Mrps, wall seconds and
 # allocs/op per endpoint count; the pre-refactor baseline section is
-# preserved), BENCH_udpsyscall.json (the batched-syscall UDP sweep:
-# per-packet vs mmsg engines, loopback RPC krps + syscalls/op + TX
-# blast), BENCH_reuseport.json (the sharded-datapath sweep: per-port
-# vs SO_REUSEPORT socket layouts with per-shard counters and the
-# single-owner pool probe), BENCH_gso.json (the segmentation-offload
-# sweep: mmsg vs UDP_SEGMENT/UDP_GRO engines, syscalls/op,
-# segments/syscall, zero-copy TX accounting) and BENCH_uring.json (the
-# io_uring sweep: gso vs io_uring engines, syscalls/op and ring
-# counters — zero-syscall bursts under SQPOLL) and BENCH_chaos.json
+# preserved), BENCH_reuseport.json (the sharded-datapath sweep:
+# per-port vs SO_REUSEPORT socket layouts with per-shard counters and
+# the single-owner pool probe), BENCH_gso.json (the UDP engine sweep:
+# per-packet vs the UDP_SEGMENT/UDP_GRO gso engine, loopback RPC krps,
+# syscalls/op, segments/syscall, zero-copy TX accounting, TX blast)
+# and BENCH_chaos.json
 # (the fault-tolerance chaos sweep: loss storm / blackhole / straggler
 # / dup burst / overload / graceful drain, per-phase goodput, recovery
 # time, budget counters and the at-most-once audit — full scale so the
@@ -62,10 +50,8 @@ test-debug:
 # then runs the full reduced-scale benchmark suite once.
 bench:
 	$(GO) run ./cmd/erpc-bench -datapath BENCH_datapath.json -scale 0.25
-	$(GO) run ./cmd/erpc-bench -udpsyscall BENCH_udpsyscall.json -scale 0.5
 	$(GO) run ./cmd/erpc-bench -reuseport BENCH_reuseport.json -scale 0.5
 	$(GO) run ./cmd/erpc-bench -gso BENCH_gso.json -scale 0.5
-	$(GO) run ./cmd/erpc-bench -uring BENCH_uring.json -scale 0.5
 	$(GO) run ./cmd/erpc-bench -chaos BENCH_chaos.json
 	$(GO) test -bench . -benchtime 1x -run XXX .
 
@@ -84,4 +70,4 @@ fuzz:
 	$(GO) test -fuzz FuzzProcessPkt -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRxBurst -fuzztime 30s ./internal/core/
 
-ci: fmt-check build vet race test-debug test-nommsg test-nogso test-nommsg-nogso test-nouring
+ci: fmt-check build vet race test-debug test-nommsg test-rpcbench

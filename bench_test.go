@@ -112,7 +112,7 @@ func BenchmarkTable5(b *testing.B) {
 }
 
 // BenchmarkSec65 regenerates §6.5's background-traffic experiment:
-// 64 kB latency-sensitive RPCs during an incast.
+// 64 kB latency-sensitive RPCs in an incast.
 func BenchmarkSec65(b *testing.B) {
 	rep := run(b, "sec65", 0.3)
 	reportRow(b, rep, 0, "us-p50")

@@ -36,13 +36,10 @@ func main() {
 		all        = flag.Bool("all", false, "run every experiment")
 		list       = flag.Bool("list", false, "list experiment ids")
 		datapath   = flag.String("datapath", "", "measure the datapath benchmark (multicore sweep: Mrps, wall s, allocs/op) and write/update this JSON artifact")
-		udpsyscall = flag.String("udpsyscall", "", "measure the batched-syscall UDP datapath (per-packet vs mmsg loopback sweep: krps, syscalls/op) and write this JSON artifact")
 		reuseport  = flag.String("reuseport", "", "measure the sharded datapath (per-port vs SO_REUSEPORT endpoint sweep: krps, allocs/op, per-shard counters) and write this JSON artifact")
-		gso        = flag.String("gso", "", "measure the segmentation-offload datapath (mmsg vs UDP_SEGMENT/UDP_GRO loopback sweep: krps, syscalls/op, segments/syscall, zero-copy TX, aliased GRO RX) and write this JSON artifact")
-		uring      = flag.String("uring", "", "measure the io_uring datapath (gso vs io_uring loopback sweep: krps, syscalls/op, ring submits/linked SQEs/CQ batches/SQPOLL wakeups) and write this JSON artifact")
+		gso        = flag.String("gso", "", "measure the UDP syscall engines (per-packet vs UDP_SEGMENT/UDP_GRO loopback sweep: krps, syscalls/op, segments/syscall, zero-copy TX, aliased GRO RX) and write this JSON artifact")
 		chaos      = flag.String("chaos", "", "measure the fault-tolerance layer under scripted chaos (loss storm, blackhole, straggler, dup burst, overload, graceful drain: per-phase goodput, recovery ms, retransmit/reject budgets, at-most-once audit) and write this JSON artifact")
 		shardsFlag = flag.Int("shards", 0, "restrict the -reuseport sweep to this endpoint/shard count (0 = full 1,2,4,8 sweep)")
-		adapt      = flag.Bool("adaptburst", false, "run the loopback sweeps with AIMD TX-flush-threshold tuning (core Config.AdaptiveBurst)")
 	)
 	flag.Parse()
 
@@ -64,16 +61,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "erpc-bench: -shards only applies to the -reuseport sweep")
 		os.Exit(2)
 	}
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Burst: *burst, AdaptBurst: *adapt}
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Burst: *burst}
 	if *datapath != "" {
 		if err := writeDatapath(*datapath, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *udpsyscall != "" {
-		if err := writeUDPSyscall(*udpsyscall, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -88,13 +78,6 @@ func main() {
 	}
 	if *gso != "" {
 		if err := writeGso(*gso, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *uring != "" {
-		if err := writeUring(*uring, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -142,114 +125,50 @@ type datapathRunSection struct {
 	Rows []experiments.MulticoreResult `json:"rows"`
 }
 
-// udpSyscallFile is the BENCH_udpsyscall.json schema: the same
-// windowed loopback echo workload over both UDP syscall engines. The
-// per-packet rows are the "before" (one kernel crossing per datagram),
-// the mmsg rows the "after" (one sendmmsg/recvmmsg per burst); both
-// are measured fresh on every run since the two engines coexist in
-// one binary.
-type udpSyscallFile struct {
+// gsoFile is the BENCH_gso.json schema: the windowed loopback echo
+// workload over the per-packet engine (one syscall and one kernel
+// stack traversal per datagram — before) and the gso engine
+// (sendmmsg/recvmmsg bursts plus UDP_SEGMENT supersegment TX and
+// UDP_GRO coalesced RX — after), with end-to-end zero-copy accounting
+// on both (zero_copy_tx_per_op counts request AND response packet-0
+// aliases, so 2.0/op is the full Appendix C datapath; gro_aliased_segs
+// counts RX segments delivered aliasing the refcounted supersegment
+// buffer), plus the TX blast's segments-per-syscall amortization.
+type gsoFile struct {
 	Benchmark        string                         `json:"benchmark"`
 	Scale            float64                        `json:"scale"`
 	Seed             int64                          `json:"seed"`
 	Note             string                         `json:"note,omitempty"`
 	PerPacket        []experiments.UDPSyscallResult `json:"per_packet"`
-	Mmsg             []experiments.UDPSyscallResult `json:"mmsg,omitempty"`
+	Gso              []experiments.UDPSyscallResult `json:"gso,omitempty"`
 	TxBlastPerPacket *experiments.UDPTxBlastResult  `json:"tx_blast_per_packet,omitempty"`
-	TxBlastMmsg      *experiments.UDPTxBlastResult  `json:"tx_blast_mmsg,omitempty"`
-}
-
-// gsoFile is the BENCH_gso.json schema: the windowed loopback echo
-// workload over the mmsg engine (syscall batching only — before) and
-// the gso engine (plus UDP_SEGMENT supersegment TX and UDP_GRO
-// coalesced RX — after), with end-to-end zero-copy accounting on both
-// (zero_copy_tx_per_op counts request AND response packet-0 aliases,
-// so 2.0/op is the full Appendix C datapath; gro_aliased_segs counts
-// RX segments delivered aliasing the refcounted supersegment buffer),
-// plus the TX blast's segments-per-syscall amortization.
-type gsoFile struct {
-	Benchmark   string                         `json:"benchmark"`
-	Scale       float64                        `json:"scale"`
-	Seed        int64                          `json:"seed"`
-	Note        string                         `json:"note,omitempty"`
-	Mmsg        []experiments.UDPSyscallResult `json:"mmsg"`
-	Gso         []experiments.UDPSyscallResult `json:"gso,omitempty"`
-	TxBlastMmsg *experiments.UDPTxBlastResult  `json:"tx_blast_mmsg,omitempty"`
-	TxBlastGso  *experiments.UDPTxBlastResult  `json:"tx_blast_gso,omitempty"`
+	TxBlastGso       *experiments.UDPTxBlastResult  `json:"tx_blast_gso,omitempty"`
 }
 
 // writeGso runs the segmentation-offload sweep and writes the JSON
 // artifact at path.
 func writeGso(path string, opts experiments.Options) error {
-	mmsg, gso := experiments.GsoSweep(opts, printf)
-	blastMmsg, blastGso := experiments.GsoTxBlastSweep(opts, printf)
+	perPkt, gso := experiments.GsoSweep(opts, printf)
+	blastPP, blastGso := experiments.GsoTxBlastSweep(opts, printf)
 	f := gsoFile{
-		Benchmark: "segmentation-offload UDP datapath: windowed 32B echo RPCs over loopback plus a 16-frame TX blast; mmsg = sendmmsg/recvmmsg batching only (before), gso = + UDP_SEGMENT supersegments, UDP_GRO coalescing and refcount-aliased GRO RX (after), end-to-end zero-copy TX (request + response packet 0) on both",
+		Benchmark: "UDP syscall engines: windowed 32B echo RPCs over loopback plus a 16-frame TX blast; per_packet = one syscall per datagram (before), gso = sendmmsg/recvmmsg bursts + UDP_SEGMENT supersegments, UDP_GRO coalescing and refcount-aliased GRO RX (after), end-to-end zero-copy TX (request + response packet 0) on both",
 		Scale:     opts.Scale,
 		Seed:      opts.Seed,
 		Note: "krps is wall-clock over loopback and scheduler-bound on small hosts (best-of-N kept); " +
-			"syscalls_per_op and segments_per_syscall are the controlled measures of the offload; " +
-			"windows 1-2 are omitted because their bursts are mostly single frames and cannot coalesce (engines identical there)",
-		Mmsg:        mmsg,
-		Gso:         gso,
-		TxBlastMmsg: blastMmsg,
-		TxBlastGso:  blastGso,
+			"syscalls_per_op and segments_per_syscall are the controlled measures of the batching and offload; " +
+			"windows 1-2 are omitted because their bursts are mostly single frames and cannot coalesce",
+		PerPacket:        perPkt,
+		Gso:              gso,
+		TxBlastPerPacket: blastPP,
+		TxBlastGso:       blastGso,
 	}
 	if gso == nil {
-		f.Note += "; gso engine unavailable (nogso/nommsg build, or kernel without UDP_SEGMENT/UDP_GRO), so only the mmsg baseline was measured"
+		f.Note += "; gso engine unavailable (nommsg build, or kernel without UDP_SEGMENT/UDP_GRO), so only the per-packet baseline was measured"
 	}
 	for i, g := range gso {
-		if i < len(mmsg) && g.SyscallsPerOp >= mmsg[i].SyscallsPerOp {
-			printf("NOTE: window %d gso syscalls/op %.2f not below mmsg %.2f\n",
-				g.Window, g.SyscallsPerOp, mmsg[i].SyscallsPerOp)
-		}
-	}
-	return experiments.WriteJSONReport(path, &f)
-}
-
-// uringFile is the BENCH_uring.json schema: the windowed loopback echo
-// workload over the auto engine (gso where supported — the best
-// one-syscall-per-burst engine, before) and the io_uring engine
-// (linked-SQE TX chains and registered-buffer RX published to shared
-// rings; with SQPOLL awake a burst crosses the kernel with zero
-// syscalls — after), plus the TX blast. The uring rows' ring counters
-// (submits, linked SQEs, batched CQ reaps, SQPOLL wakeups) account for
-// where the remaining kernel crossings went.
-type uringFile struct {
-	Benchmark    string                         `json:"benchmark"`
-	Scale        float64                        `json:"scale"`
-	Seed         int64                          `json:"seed"`
-	Note         string                         `json:"note,omitempty"`
-	Gso          []experiments.UDPSyscallResult `json:"gso"`
-	Uring        []experiments.UDPSyscallResult `json:"uring,omitempty"`
-	TxBlastGso   *experiments.UDPTxBlastResult  `json:"tx_blast_gso,omitempty"`
-	TxBlastUring *experiments.UDPTxBlastResult  `json:"tx_blast_uring,omitempty"`
-}
-
-// writeUring runs the io_uring sweep and writes the JSON artifact at
-// path.
-func writeUring(path string, opts experiments.Options) error {
-	gso, uring := experiments.UringSweep(opts, printf)
-	blastGso, blastUring := experiments.UringTxBlastSweep(opts, printf)
-	f := uringFile{
-		Benchmark: "io_uring UDP datapath: windowed 32B echo RPCs over loopback plus a 16-frame TX blast; gso = the best syscall engine, one kernel crossing per burst (before), uring = linked-SQE chains and registered-buffer reads on shared rings, zero syscalls per burst while the SQPOLL thread is awake (after)",
-		Scale:     opts.Scale,
-		Seed:      opts.Seed,
-		Note: "krps is wall-clock over loopback and scheduler-bound on small hosts (best-of-N kept); " +
-			"syscalls_per_op is the controlled measure — the uring rows must sit below the gso floor, " +
-			"and the ring counters attribute the remaining crossings (submits vs sqpoll wakeups)",
-		Gso:          gso,
-		Uring:        uring,
-		TxBlastGso:   blastGso,
-		TxBlastUring: blastUring,
-	}
-	if uring == nil {
-		f.Note += "; io_uring engine unavailable (nouring/nommsg build, or kernel without io_uring), so only the gso baseline was measured"
-	}
-	for i, u := range uring {
-		if i < len(gso) && u.SyscallsPerOp >= gso[i].SyscallsPerOp {
-			printf("NOTE: window %d uring syscalls/op %.2f not below gso %.2f\n",
-				u.Window, u.SyscallsPerOp, gso[i].SyscallsPerOp)
+		if i < len(perPkt) && g.SyscallsPerOp >= perPkt[i].SyscallsPerOp {
+			printf("NOTE: window %d gso syscalls/op %.2f not below per-packet %.2f\n",
+				g.Window, g.SyscallsPerOp, perPkt[i].SyscallsPerOp)
 		}
 	}
 	return experiments.WriteJSONReport(path, &f)
@@ -316,28 +235,6 @@ func writeChaos(path string, opts experiments.Options) error {
 	return experiments.WriteJSONReport(path, &f)
 }
 
-// writeUDPSyscall runs the batched-syscall sweep and writes the JSON
-// artifact at path.
-func writeUDPSyscall(path string, opts experiments.Options) error {
-	perPkt, mmsg := experiments.UDPSyscallSweep(opts, printf)
-	blastPP, blastMmsg := experiments.UDPTxBlastSweep(opts, printf)
-	f := udpSyscallFile{
-		Benchmark: "batched-syscall UDP datapath: windowed 32B echo RPCs over loopback (end to end) plus a 16-frame TX blast (syscall-bound); per_packet = one syscall per datagram (before), mmsg = sendmmsg/recvmmsg (after)",
-		Scale:     opts.Scale,
-		Seed:      opts.Seed,
-		Note: "krps is wall-clock over loopback and scheduler-bound on small hosts (best-of-N kept); " +
-			"syscalls_per_op and the TX blast Mpps are the controlled measures of the batching",
-		PerPacket:        perPkt,
-		Mmsg:             mmsg,
-		TxBlastPerPacket: blastPP,
-		TxBlastMmsg:      blastMmsg,
-	}
-	if mmsg == nil {
-		f.Note += "; mmsg engine not compiled in on this platform (see transport.MmsgSupported), so only the per-packet fallback was measured"
-	}
-	return experiments.WriteJSONReport(path, &f)
-}
-
 // reusePortFile is the BENCH_reuseport.json schema: the same
 // multi-endpoint loopback echo workload over the per-port socket
 // layout (each server endpoint on its own port — before) and over
@@ -378,8 +275,8 @@ func writeReusePort(path string, shards int, opts experiments.Options) error {
 }
 
 // writeDatapath runs the datapath benchmark (the multicore endpoint
-// sweep, measuring simulated Mrps plus host-side wall seconds and heap
-// allocations per RPC) and updates the JSON artifact at path. An
+// sweep, which measures simulated Mrps plus host-side wall seconds and
+// heap allocations per RPC) and updates the JSON artifact at path. An
 // existing baseline section is preserved (a corrupt file is an error,
 // so the frozen baseline can't be silently replaced); if the file is
 // new, the run is recorded as both baseline and current.

@@ -17,26 +17,16 @@ import (
 // completion — including the reader goroutines, since
 // testing.AllocsPerRun counts process-wide mallocs.
 //
-// The guard runs once per compiled-in UDP syscall engine: the batched
-// sendmmsg/recvmmsg datapath must be exactly as allocation-free as the
-// per-packet fallback (its mmsghdr/iovec arrays and syscall closures
-// are preallocated at engine construction).
+// The guard runs once per available UDP syscall engine: the gso
+// datapath must be exactly as allocation-free as the per-packet
+// fallback (its mmsghdr/iovec arrays and syscall closures are
+// preallocated at engine construction).
 func TestSmallRPCAllocFree(t *testing.T) {
 	if transport.DebugEnabled {
 		t.Skip("erpcdebug sanitizer bookkeeping allocates; zero-alloc contract holds in release builds only")
 	}
 	for _, engine := range udpEngines() {
 		t.Run(engine, func(t *testing.T) {
-			if engine == "uring" && transport.RaceEnabled {
-				// Not a correctness skip: the race detector's
-				// instrumentation slows the spin loops enough that the
-				// SQPOLL kernel threads and the app livelock-crawl on
-				// small hosts (minutes per run). The uring datapath
-				// itself runs under -race in the transport suite and
-				// the engine echo tests; the zero-alloc contract is
-				// asserted on the release-build legs.
-				t.Skip("io_uring SQPOLL timing pathological under the race detector; covered on non-race legs")
-			}
 			runSmallRPCAllocFree(t, engine)
 		})
 	}

@@ -20,7 +20,7 @@ import (
 //   - every request admitted before the drain runs to completion —
 //     worker handlers finish, queued zero-copy response aliases flush,
 //     responses reach the client;
-//   - requests arriving during the drain draw explicit rejects and
+//   - requests arriving mid-drain draw explicit rejects and
 //     resolve at the client (ErrServerOverloaded once the reject budget
 //     exhausts, or ErrTimeout for stragglers that outlive the server)
 //     instead of hanging;

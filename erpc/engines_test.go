@@ -8,53 +8,29 @@ import (
 // udpEngines lists the UDP syscall engines available to this test
 // binary, so real-transport suites (adversity stress, alloc guard,
 // loopback bench) run over each: the segmentation-offload gso engine
-// where the build and kernel both support it, the batched mmsg engine
-// where available, and the portable per-packet fallback always. The
-// opt-in io_uring engine joins the list where the build and kernel
-// support it. A `-tags=nogso` build drops the gso leg, `-tags=nouring`
-// the uring leg, and `-tags=nommsg` reduces the list to the fallback
-// alone — which is then also the engine behind the default
-// constructors.
+// where the build and kernel both support it, and the portable
+// per-packet fallback always. A `-tags=nommsg` build reduces the list
+// to the fallback alone — which is then also the engine behind the
+// default constructors.
 func udpEngines() []string {
-	var engines []string
-	if erpc.UDPUringSupported() {
-		engines = append(engines, "uring")
+	if erpc.UDPGsoSupported() {
+		return []string{"gso", "per-packet"}
 	}
-	switch {
-	case erpc.UDPGsoSupported():
-		engines = append(engines, "gso", "mmsg", "per-packet")
-	case erpc.UDPMmsgSupported:
-		engines = append(engines, "mmsg", "per-packet")
-	default:
-		engines = append(engines, "per-packet")
-	}
-	return engines
+	return []string{"per-packet"}
 }
 
 // newUDPTransportEngine binds one socket on the named engine.
 func newUDPTransportEngine(engine string, addr erpc.Addr, bind string) (*transport.UDP, error) {
-	switch engine {
-	case "per-packet":
+	if engine == "per-packet" {
 		return erpc.NewUDPTransportPerPacket(addr, bind)
-	case "mmsg":
-		return erpc.NewUDPTransportMmsg(addr, bind)
-	case "uring":
-		return erpc.NewUDPTransportUring(addr, bind)
-	default:
-		return erpc.NewUDPTransport(addr, bind)
 	}
+	return erpc.NewUDPTransport(addr, bind)
 }
 
 // listenUDPEngine binds n endpoint sockets on the named engine.
 func listenUDPEngine(engine string, node uint16, host string, basePort, n int) ([]*transport.UDP, error) {
-	switch engine {
-	case "per-packet":
+	if engine == "per-packet" {
 		return erpc.ListenUDPPerPacket(node, host, basePort, n)
-	case "mmsg":
-		return erpc.ListenUDPMmsg(node, host, basePort, n)
-	case "uring":
-		return erpc.ListenUDPUring(node, host, basePort, n)
-	default:
-		return erpc.ListenUDP(node, host, basePort, n)
 	}
+	return erpc.ListenUDP(node, host, basePort, n)
 }

@@ -153,22 +153,14 @@ func NewWallClock() Clock { return sim.NewWallClock() }
 // given bind address (e.g. "127.0.0.1:0"). Use AddPeer on the returned
 // transport to map remote endpoint addresses to UDP addresses. The
 // socket uses the platform's best syscall engine: segmentation offload
-// (UDP_SEGMENT supersegment TX, UDP_GRO coalesced RX — one kernel
-// stack traversal per same-peer run of a burst) where the kernel
-// supports it, batched sendmmsg/recvmmsg on other Linux (one kernel
-// crossing per RX/TX burst), the portable per-packet engine elsewhere;
-// the transport's Engine, Syscalls, MmsgBatches, GsoSegments and
-// GroBatches report which one ran and what it cost.
+// (one sendmmsg/recvmmsg per RX/TX burst, UDP_SEGMENT supersegment TX,
+// UDP_GRO coalesced RX — one kernel stack traversal per same-peer run
+// of a burst) where the build and kernel support it, the portable
+// per-packet engine elsewhere; the transport's Engine, Syscalls,
+// MmsgBatches, GsoSegments and GroBatches report which one ran and
+// what it cost.
 func NewUDPTransport(addr Addr, bind string) (*transport.UDP, error) {
 	return transport.NewUDP(addr, bind)
-}
-
-// NewUDPTransportMmsg is NewUDPTransport with the segmentation-offload
-// engine skipped: batched sendmmsg/recvmmsg where compiled in, the
-// per-packet fallback elsewhere. It is the "before" of the GSO/GRO
-// comparison and the engine behind the cmds' -gso=false knob.
-func NewUDPTransportMmsg(addr Addr, bind string) (*transport.UDP, error) {
-	return transport.NewUDPMmsg(addr, bind)
 }
 
 // NewUDPTransportPerPacket is NewUDPTransport with the portable
@@ -178,47 +170,18 @@ func NewUDPTransportPerPacket(addr Addr, bind string) (*transport.UDP, error) {
 	return transport.NewUDPPerPacket(addr, bind)
 }
 
-// NewUDPTransportUring is NewUDPTransport on the io_uring engine:
-// bursts are published to a shared submission ring (linked SENDMSG
-// chains on TX, a re-armed registered-buffer READ chain on RX) and,
-// with the kernel's SQPOLL thread awake, cross the kernel with zero
-// syscalls. Opt-in — NewUDPTransport's auto selection deliberately
-// excludes it, since SQPOLL trades a polling kernel thread for the
-// syscalls. Where io_uring is not compiled in or the kernel refuses
-// it (see UDPUringSupported), this falls back to exactly
-// NewUDPTransport's auto selection.
-func NewUDPTransportUring(addr Addr, bind string) (*transport.UDP, error) {
-	return transport.NewUDPUring(addr, bind)
-}
-
-// UDPMmsgSupported reports whether the batched sendmmsg/recvmmsg UDP
-// engine is compiled into this binary (Linux amd64/arm64 without the
-// `nommsg` build tag).
-const UDPMmsgSupported = transport.MmsgSupported
-
 // UDPGsoCompiled reports whether the segmentation-offload UDP engine
 // (UDP_SEGMENT supersegment TX + UDP_GRO coalesced RX) is compiled
-// into this binary (Linux amd64/arm64 without the `nommsg`/`nogso`
-// build tags).
+// into this binary (Linux amd64/arm64 without the `nommsg` build
+// tag).
 const UDPGsoCompiled = transport.GsoSupported
 
 // UDPGsoSupported reports whether the segmentation-offload engine
 // actually runs here: compiled in (UDPGsoCompiled) and accepted by the
 // kernel (UDP_SEGMENT/UDP_GRO probe, cached). When true, NewUDPTransport
-// and the listen helpers select the gso engine by default; the Mmsg
-// variants opt out. It is the runtime mirror of UDPReusePortSupported.
+// and the listen helpers select the gso engine; otherwise they run the
+// per-packet engine. It is the runtime mirror of UDPReusePortSupported.
 func UDPGsoSupported() bool { return transport.UDPGsoSupported() }
-
-// UDPUringCompiled reports whether the io_uring UDP engine is compiled
-// into this binary (Linux amd64/arm64 without the `nommsg`/`nouring`
-// build tags).
-const UDPUringCompiled = transport.UringSupported
-
-// UDPUringSupported reports whether the io_uring engine actually runs
-// here: compiled in (UDPUringCompiled) and accepted by the running
-// kernel (ring-setup probe, cached). When false, the Uring
-// constructors quietly select NewUDPTransport's auto engine instead.
-func UDPUringSupported() bool { return transport.UDPUringSupported() }
 
 // NewPool returns a recycling packet-buffer pool for a custom
 // Transport's burst datapath (see transport.NewPool).
@@ -268,19 +231,6 @@ func ListenUDPPerPacket(node uint16, host string, basePort, n int) ([]*transport
 	return listenUDP(node, host, basePort, n, transport.NewUDPPerPacket)
 }
 
-// ListenUDPMmsg is ListenUDP with the segmentation-offload engine
-// skipped on every socket (see NewUDPTransportMmsg).
-func ListenUDPMmsg(node uint16, host string, basePort, n int) ([]*transport.UDP, error) {
-	return listenUDP(node, host, basePort, n, transport.NewUDPMmsg)
-}
-
-// ListenUDPUring is ListenUDP with the io_uring engine selected on
-// every socket (see NewUDPTransportUring; falls back to the auto
-// engine where io_uring is unavailable).
-func ListenUDPUring(node uint16, host string, basePort, n int) ([]*transport.UDP, error) {
-	return listenUDP(node, host, basePort, n, transport.NewUDPUring)
-}
-
 // ListenUDPShards binds n SO_REUSEPORT shard sockets, all on one UDP
 // address, for the endpoints (node, 0..n-1) of a sharded server
 // process: the kernel hashes each client flow to one shard, and that
@@ -295,22 +245,6 @@ func ListenUDPUring(node uint16, host string, basePort, n int) ([]*transport.UDP
 // issued the requests.
 func ListenUDPShards(node uint16, bind string, n int) ([]*transport.UDP, error) {
 	return transport.ListenUDPShards(node, bind, n)
-}
-
-// ListenUDPShardsMmsg is ListenUDPShards with the segmentation-offload
-// engine skipped on every shard socket (see NewUDPTransportMmsg).
-func ListenUDPShardsMmsg(node uint16, bind string, n int) ([]*transport.UDP, error) {
-	return transport.ListenUDPShardsMmsg(node, bind, n)
-}
-
-// ListenUDPShardsUring is ListenUDPShards with the io_uring engine
-// selected on every shard socket (see NewUDPTransportUring) — each
-// shard gets its own submission/completion rings and registered RX
-// slab, so the one-queue-pair-per-thread discipline extends to the
-// ring doorbells. Falls back per-socket to the auto engine where
-// io_uring is unavailable.
-func ListenUDPShardsUring(node uint16, bind string, n int) ([]*transport.UDP, error) {
-	return transport.ListenUDPShardsUring(node, bind, n)
 }
 
 // UDPReusePortSupported reports whether ListenUDPShards binds its
@@ -358,15 +292,6 @@ func BurstConfigs(cfgs []Config, burst int) []Config {
 		for i := range cfgs {
 			cfgs[i].BurstSize = burst
 		}
-	}
-	return cfgs
-}
-
-// AdaptConfigs sets adaptive TX-flush-threshold tuning on every Config
-// (the -adaptburst knob of the cmds; see Config.AdaptiveBurst).
-func AdaptConfigs(cfgs []Config, adapt bool) []Config {
-	for i := range cfgs {
-		cfgs[i].AdaptiveBurst = adapt
 	}
 	return cfgs
 }
@@ -469,11 +394,10 @@ func UDPShardStats(trs []*transport.UDP) []string {
 	lines := make([]string, len(trs))
 	for i, tr := range trs {
 		ps := tr.RxPoolStats()
-		lines[i] = fmt.Sprintf("endpoint %v on %s (%s): %d syscalls, %d mmsg batches, %d gso segments, %d gro batches, %d uring submits, %d ring drops, rx pool: %d allocs, %d fast + %d shared recycles, %d refills",
+		lines[i] = fmt.Sprintf("endpoint %v on %s (%s): %d syscalls, %d mmsg batches, %d gso segments, %d gro batches, %d ring drops, rx pool: %d allocs, %d fast + %d shared recycles, %d refills",
 			tr.LocalAddr(), tr.BoundAddr(), tr.Engine(),
 			tr.Syscalls.Load(), tr.MmsgBatches.Load(),
-			tr.GsoSegments.Load(), tr.GroBatches.Load(),
-			tr.UringSubmits.Load(), tr.Drops.Load(),
+			tr.GsoSegments.Load(), tr.GroBatches.Load(), tr.Drops.Load(),
 			ps.News, ps.FastPuts, ps.SharedPuts, ps.Refills)
 	}
 	return lines
@@ -496,40 +420,16 @@ func UDPGsoStats(trs []*transport.UDP) (gsoSegments, groBatches, groAliasedSegs 
 	return gsoSegments, groBatches, groAliasedSegs
 }
 
-// UDPUringStats sums the io_uring counters over a process's UDP
-// transports: io_uring_enter calls that submitted SQEs, SQEs submitted
-// as part of multi-SQE linked TX chains, CQ reaps that harvested more
-// than one completion, and enters forced only to wake a parked SQPOLL
-// thread. Zero-syscall operation shows up as these growing while the
-// transports' Syscalls counter does not. All are zero unless the uring
-// engine ran (see UDPUringSupported). The erpc-server/-client commands
-// report these at exit; close the transports first for exact counts.
-func UDPUringStats(trs []*transport.UDP) (submits, sqeLinked, cqeBatches, sqpollWakeups uint64) {
-	for _, tr := range trs {
-		submits += tr.UringSubmits.Load()
-		sqeLinked += tr.UringSqeLinked.Load()
-		cqeBatches += tr.UringCqeBatches.Load()
-		sqpollWakeups += tr.UringSqpollWakeups.Load()
-	}
-	return submits, sqeLinked, cqeBatches, sqpollWakeups
-}
-
-// NewFaultyTransport wraps t with send-side fault injection (drops,
-// duplicates, reordering) for adversity testing; see
-// transport.Faulty.
-func NewFaultyTransport(t Transport, seed int64, drop, dup, reorder float64) *transport.Faulty {
-	return transport.NewFaulty(t, seed, drop, dup, reorder)
-}
-
 // ChaosPhase is one timed segment of a scripted fault scenario; see
 // transport.ChaosPhase.
 type ChaosPhase = transport.ChaosPhase
 
 // NewChaosTransport wraps t with the phase-scripted chaos engine
 // (deterministic seed; timed phases of loss storms, blackhole windows,
-// straggler latency and duplication bursts — clean wire once the
-// script ends). now supplies the engine's clock in nanoseconds; see
-// transport.Chaos.
+// straggler latency, duplication bursts and reordering — clean wire
+// once the script ends). now supplies the engine's clock in
+// nanoseconds; constant fault rates are one phase with
+// Dur: math.MaxInt64. See transport.Chaos.
 func NewChaosTransport(t Transport, seed int64, now func() int64, phases []ChaosPhase) *transport.Chaos {
 	return transport.NewChaos(t, seed, now, phases)
 }

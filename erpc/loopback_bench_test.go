@@ -1,16 +1,16 @@
 package erpc_test
 
 import (
+	"runtime"
 	"testing"
-	"time"
 
 	"repro/erpc"
 )
 
 // BenchmarkLoopbackRPC measures the full small-RPC round trip over UDP
 // loopback with manually driven event loops — the real-transport hot
-// path the burst datapath optimizes. One sub-benchmark per compiled-in
-// UDP syscall engine (mmsg vs per-packet) exposes the batched-syscall
+// path the burst datapath optimizes. One sub-benchmark per available
+// UDP syscall engine (gso vs per-packet) exposes the batched-syscall
 // win directly. Run with -benchmem to see the zero-alloc property.
 func BenchmarkLoopbackRPC(b *testing.B) {
 	for _, engine := range udpEngines() {
@@ -59,7 +59,10 @@ func runLoopbackRPC(b *testing.B, engine string) {
 			prog := cli.RunEventLoopOnce()
 			prog = srv.RunEventLoopOnce() || prog
 			if !prog {
-				cli.WaitForWork(50 * time.Microsecond)
+				// Spin, don't park: the packet is in flight to the
+				// peer's socket, and a park would time the wake-up
+				// instead of the round trip.
+				runtime.Gosched()
 			}
 		}
 	}

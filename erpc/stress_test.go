@@ -2,42 +2,33 @@ package erpc_test
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/erpc"
-	"repro/internal/transport"
 )
 
 // TestUDPAdversity runs the multi-endpoint runtime over real UDP with
 // fault injection on both sides of the wire: 5% drops, 5% duplicates,
-// 5% reordering, in each direction, with Faulty wrapping the burst
+// 5% reordering, in each direction, with Chaos wrapping the burst
 // datapath (the core calls SendBurst/RecvBurst, so every RX/TX burst
 // passes through the fault lottery). A slice of the requests are
 // multi-packet, so whole data bursts — not just single frames — cross
-// the faulty wire. It asserts the two properties the paper's protocol
+// the lossy wire. It asserts the two properties the paper's protocol
 // guarantees over an arbitrarily bad datagram network (§5.3):
 // at-most-once handler execution (no request ever executes twice,
 // despite duplicates and retransmissions) and eventual completion of
 // every RPC.
 //
-// The whole scenario runs once per compiled-in UDP syscall engine, so
-// the batched sendmmsg/recvmmsg path faces the same fault lottery as
-// the portable per-packet fallback.
+// The whole scenario runs once per available UDP syscall engine, so
+// the gso path faces the same fault lottery as the portable per-packet
+// fallback.
 func TestUDPAdversity(t *testing.T) {
 	for _, engine := range udpEngines() {
 		t.Run(engine, func(t *testing.T) {
-			if engine == "uring" && transport.RaceEnabled {
-				// Same rationale as TestSmallRPCAllocFree: race
-				// instrumentation slows the spin loops ~10x, the SQPOLL
-				// kernel threads starve on small hosts, and the 300-RPC
-				// fault lottery blows its deadline at a crawl (~300x
-				// slower than the release build). The uring engine's
-				// race coverage lives in the transport suite.
-				t.Skip("io_uring SQPOLL timing pathological under the race detector; covered on non-race legs")
-			}
 			runUDPAdversity(t, engine)
 		})
 	}
@@ -90,14 +81,17 @@ func runUDPAdversity(t *testing.T, engine string) {
 	}
 
 	// Wrap every socket in the fault injector; both directions of the
-	// session see drops, dups and reordering.
+	// session see drops, dups and reordering at constant rates (one
+	// phase that never ends).
+	faults := []erpc.ChaosPhase{{Dur: math.MaxInt64, Drop: 0.05, Dup: 0.05, Reorder: 0.05}}
+	clock := func() int64 { return 0 }
 	srvCfgs := make([]erpc.Config, srvEps)
 	for i, tr := range srvTrs {
-		f := erpc.NewFaultyTransport(tr, int64(10+i), 0.05, 0.05, 0.05)
+		f := erpc.NewChaosTransport(tr, int64(10+i), clock, faults)
 		srvCfgs[i] = erpc.Config{Transport: f, Clock: erpc.NewWallClock()}
 		defer f.Close()
 	}
-	cliFault := erpc.NewFaultyTransport(cliTrs[0], 99, 0.05, 0.05, 0.05)
+	cliFault := erpc.NewChaosTransport(cliTrs[0], 99, clock, faults)
 	defer cliFault.Close()
 	cliCfgs := []erpc.Config{{Transport: cliFault, Clock: erpc.NewWallClock()}}
 
@@ -159,7 +153,7 @@ func runUDPAdversity(t *testing.T, engine string) {
 	}
 
 	// The run must have actually exercised the fault paths — and the
-	// burst datapath: the core's TX batches go through Faulty.SendBurst
+	// burst datapath: the core's TX batches go through Chaos.SendBurst
 	// and must have carried multi-frame bursts (multi-packet requests
 	// send several data packets per event-loop iteration).
 	if cliFault.Drops.Load() == 0 || cliFault.Dups.Load() == 0 || cliFault.Reorders.Load() == 0 {
@@ -171,19 +165,19 @@ func runUDPAdversity(t *testing.T, engine string) {
 	}
 	cs := client.Stats()
 	if cs.TxBursts == 0 || cliFault.Bursts.Load() == 0 {
-		t.Fatalf("burst path idle: client TxBursts=%d, faulty SendBursts=%d", cs.TxBursts, cliFault.Bursts.Load())
+		t.Fatalf("burst path idle: client TxBursts=%d, chaos SendBursts=%d", cs.TxBursts, cliFault.Bursts.Load())
 	}
 	if cs.PktsTx <= cs.TxBursts {
 		t.Fatalf("no multi-frame bursts: %d packets in %d bursts", cs.PktsTx, cs.TxBursts)
 	}
 
-	// The requested syscall engine really ran, and on the mmsg engine
+	// The requested syscall engine really ran, and on the gso engine
 	// the run must have crossed the kernel in multi-message batches.
 	eng, syscalls, batches := erpc.UDPSyscallStats(append(srvTrs, cliTrs...))
 	if eng != engine {
 		t.Fatalf("ran on engine %q, want %q", eng, engine)
 	}
-	if (engine == "mmsg" || engine == "gso") && batches == 0 {
+	if engine == "gso" && batches == 0 {
 		t.Fatalf("%s engine made no multi-message batches over %d syscalls", engine, syscalls)
 	}
 	if engine == "per-packet" && batches != 0 {

@@ -1,6 +1,6 @@
 // Replicated-kv: the paper's §7.1 scenario as a runnable example — a
 // 3-way Raft-replicated in-memory key-value store over eRPC on the
-// simulated CX5 cluster, with a client measuring replicated PUT
+// simulated CX5 cluster, with a client that measures replicated PUT
 // latency. This is the workload that achieves 5.5 µs three-way
 // replication in the paper.
 //

@@ -42,9 +42,9 @@ type sqe struct {
 }
 
 func storedInSqeWord(s *sqe) {
-	// The io_uring idiom: an address parked in a submission-queue
-	// entry outlives the statement (the kernel reads it later), so the
-	// store is flagged unless the pointee's lifetime is argued with an
-	// //erpc:ignore (see the clean package).
+	// The shared-ring idiom: an address parked in a kernel-read
+	// descriptor word outlives the statement (the kernel reads it
+	// later), so the store is flagged unless the pointee's lifetime is
+	// argued with an //erpc:ignore (see the clean package).
 	s.addr = uint64(uintptr(unsafe.Pointer(&x))) // want `stored in a variable`
 }

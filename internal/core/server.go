@@ -8,8 +8,8 @@ import (
 )
 
 // srvSession finds or lazily creates the server-mode session for a
-// client endpoint (see DESIGN.md: lazy creation stands in for eRPC's
-// sockets-based session handshake).
+// client endpoint (lazy creation stands in for eRPC's sockets-based
+// session handshake).
 func (r *Rpc) srvSession(from transport.Addr, num uint16) *Session {
 	key := sessKey{addr: from, num: num}
 	if s, ok := r.srvSessions[key]; ok {
@@ -37,7 +37,7 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 	}
 	if r.draining && r.srvSessions[sessKey{addr: from, num: h.DstSession}] == nil {
 		// Draining: requests from brand-new sessions are rejected
-		// before the session is even materialized (no new state during
+		// before the session is even materialized (no new state in a
 		// drain); existing sessions reject at admission below.
 		r.sendReject(from, h)
 		return
@@ -484,7 +484,7 @@ func (c *ReqContext) EnqueueResponse() {
 		return
 	}
 	// Publish through the unbounded Post queue so a worker (or a
-	// handler running inline on a dispatch goroutine during pool
+	// handler running inline on a dispatch goroutine in pool
 	// shutdown) never blocks on a full channel — a blocked worker
 	// would stall the shared pool for every endpoint. Outstanding
 	// completions are bounded by the protocol anyway: at most one

@@ -186,7 +186,7 @@ func TestSrvPreallocReuseFlushesBatch(t *testing.T) {
 
 // TestServerTeardownUnderLoadFlushesAliases is the teardown-ordering
 // regression test: a handler that deferred its response (nested-RPC
-// pattern) enqueues it from a failed request's continuation during
+// pattern) enqueues it from a failed request's continuation inside
 // FailPeer. The response's zero-copy alias is queued *after* FailPeer's
 // initial flush, so the srvSessions reset loop must flush again (or
 // defer the free) — pre-fix it freed the msgbuf with the alias still

@@ -9,31 +9,13 @@ import (
 	"repro/internal/transport"
 )
 
-// The udpsyscall benchmark measures the batched-syscall UDP datapath:
-// the same windowed small-RPC loopback workload run over the
-// per-packet engine (one sendto/recvfrom kernel crossing per datagram
-// — the "before") and the mmsg engine (one sendmmsg/recvmmsg per
-// RX/TX burst — the "after"). The paper's NIC datapath amortizes DMA
-// doorbells over bursts of up to 16 packets (§4.2); on a commodity
-// kernel the syscall boundary plays the doorbell's role, and
-// syscalls-per-RPC is the direct measure of how well the transport
-// amortizes it. cmd/erpc-bench -udpsyscall records the sweep in
-// BENCH_udpsyscall.json.
-
-// UDPMmsgSupported mirrors transport.MmsgSupported for the bench
-// harness: whether the "after" engine exists in this binary.
-const UDPMmsgSupported = transport.MmsgSupported
-
-// UDPSyscallWindows is the in-flight-request sweep: window 1 is the
-// latency-bound ping-pong where bursts degenerate to single frames;
-// deeper windows fill real multi-frame bursts, which is where batched
-// syscalls pay off. The sweep stays below the per-session slot limit
-// (core.DefaultNumSlots = 8) so every request occupies a slot
-// immediately and the workload measures the datapath alone. (Windows
-// at or beyond the limit are safe since the backlog-starvation fix —
-// excess requests queue FIFO behind the slots — and the reuseport
-// sweep uses the full window 8.)
-var UDPSyscallWindows = []int{1, 2, 4}
+// The loopback UDP measurements behind the gso sweep (see gso.go): a
+// windowed small-RPC echo workload between two real UDP endpoints, and
+// a TX blast that isolates the send path. The paper's NIC datapath
+// amortizes DMA doorbells over bursts of up to 16 packets (§4.2); on a
+// commodity kernel the syscall boundary plays the doorbell's role, and
+// syscalls-per-RPC is the direct measure of how well a transport
+// engine amortizes it.
 
 // UDPSyscallResult is one sweep point: a windowed echo workload over
 // UDP loopback on one syscall engine.
@@ -58,33 +40,14 @@ type UDPSyscallResult struct {
 	// at zero.
 	GroAliasedSegs uint64 `json:"gro_aliased_segs,omitempty"`
 	GroCopiedSegs  uint64 `json:"gro_copied_segs,omitempty"`
-	// Uring* are the io_uring engine's counters summed over both
-	// sockets (uring engine only): enters that submitted SQEs, SQEs
-	// submitted inside multi-SQE linked TX chains, CQ reaps that
-	// harvested more than one completion, and enters forced only to
-	// wake a parked SQPOLL thread. Zero-syscall operation shows up as
-	// these growing while SyscallsPerOp stays near zero.
-	UringSubmits       uint64 `json:"uring_submits,omitempty"`
-	UringSqeLinked     uint64 `json:"uring_sqe_linked,omitempty"`
-	UringCqeBatches    uint64 `json:"uring_cqe_batches,omitempty"`
-	UringSqpollWakeups uint64 `json:"uring_sqpoll_wakeups,omitempty"`
 	// ZeroCopyTxPerOp is the msgbuf-aliased (uncopied) TX frames per
 	// completed RPC, summed over both endpoints — 2.0 when every
 	// request packet 0 (client) and every response packet 0 (server)
 	// rode the zero-copy path.
 	ZeroCopyTxPerOp float64 `json:"zero_copy_tx_per_op,omitempty"`
-	// BestOf is how many runs this row is the best of (see
-	// UDPSyscallSweep on loopback bimodality); 0 for a single run.
+	// BestOf is how many runs this row is the best of (see GsoSweep
+	// on loopback bimodality); 0 for a single run.
 	BestOf int `json:"best_of,omitempty"`
-}
-
-// UDPSyscallMeasure runs one sweep point on the per-packet or (when
-// compiled in) the mmsg engine; see udpEchoMeasure.
-func UDPSyscallMeasure(perPacket bool, window int, opts Options) UDPSyscallResult {
-	if perPacket {
-		return udpEchoMeasure(transport.NewUDPPerPacket, window, opts)
-	}
-	return udpEchoMeasure(transport.NewUDPMmsg, window, opts)
 }
 
 // udpEchoMeasure runs one sweep point: `window` concurrent 32-byte
@@ -115,8 +78,8 @@ func udpEchoMeasure(newTr func(transport.Addr, string) (*transport.UDP, error), 
 	// dispatch goroutine each, parking on its own transport wake — so
 	// wall time reflects the deployed pipeline, not a synthetic driver.
 	nx := EchoNexus(32)
-	server := core.NewServer(nx, []core.Config{{Transport: srvTr, Clock: sim.NewWallClock(), AdaptiveBurst: opts.AdaptBurst}}, 1)
-	client := core.NewClient(nx, []core.Config{{Transport: cliTr, Clock: sim.NewWallClock(), AdaptiveBurst: opts.AdaptBurst}})
+	server := core.NewServer(nx, []core.Config{{Transport: srvTr, Clock: sim.NewWallClock()}}, 1)
+	client := core.NewClient(nx, []core.Config{{Transport: cliTr, Clock: sim.NewWallClock()}})
 	sess, err := client.CreateSession(0, server.Addrs())
 	if err != nil {
 		panic(err)
@@ -203,10 +166,6 @@ func udpEchoMeasure(newTr func(transport.Addr, string) (*transport.UDP, error), 
 	gro0 := srvTr.GroBatches.Load() + cliTr.GroBatches.Load()
 	ali0 := srvTr.GroAliasedSegs.Load() + cliTr.GroAliasedSegs.Load()
 	cop0 := srvTr.GroCopiedSegs.Load() + cliTr.GroCopiedSegs.Load()
-	usub0 := srvTr.UringSubmits.Load() + cliTr.UringSubmits.Load()
-	ulnk0 := srvTr.UringSqeLinked.Load() + cliTr.UringSqeLinked.Load()
-	ucqe0 := srvTr.UringCqeBatches.Load() + cliTr.UringCqeBatches.Load()
-	uwak0 := srvTr.UringSqpollWakeups.Load() + cliTr.UringSqpollWakeups.Load()
 	zc0 := readZC()
 	t0 := time.Now()
 	runN(total - warm)
@@ -227,11 +186,6 @@ func udpEchoMeasure(newTr func(transport.Addr, string) (*transport.UDP, error), 
 			cliTr.GroAliasedSegs.Load() - ali0,
 		GroCopiedSegs: srvTr.GroCopiedSegs.Load() +
 			cliTr.GroCopiedSegs.Load() - cop0,
-		UringSubmits:    srvTr.UringSubmits.Load() + cliTr.UringSubmits.Load() - usub0,
-		UringSqeLinked:  srvTr.UringSqeLinked.Load() + cliTr.UringSqeLinked.Load() - ulnk0,
-		UringCqeBatches: srvTr.UringCqeBatches.Load() + cliTr.UringCqeBatches.Load() - ucqe0,
-		UringSqpollWakeups: srvTr.UringSqpollWakeups.Load() +
-			cliTr.UringSqpollWakeups.Load() - uwak0,
 	}
 	if wall > 0 {
 		res.Krps = float64(measured) / wall.Seconds() / 1e3
@@ -246,7 +200,7 @@ func udpEchoMeasure(newTr func(transport.Addr, string) (*transport.UDP, error), 
 // UDPTxBlastResult is one TX-capacity point: how fast SendBurst can
 // push 16-frame bursts into the kernel. Unlike the RPC sweep, this is
 // purely syscall-bound (no wake/park pipeline), so it isolates the
-// sendmmsg amortization deterministically.
+// send-side amortization deterministically.
 type UDPTxBlastResult struct {
 	Engine        string  `json:"engine"`
 	Mpps          float64 `json:"mpps"`
@@ -261,15 +215,6 @@ type UDPTxBlastResult struct {
 	SegsPerSyscall float64 `json:"segments_per_syscall,omitempty"`
 	// BestOf is how many runs this row is the best of; 0 for one run.
 	BestOf int `json:"best_of,omitempty"`
-}
-
-// UDPTxBlast measures TX blast capacity on the per-packet or (when
-// compiled in) the mmsg engine; see udpTxBlast.
-func UDPTxBlast(perPacket bool, opts Options) UDPTxBlastResult {
-	if perPacket {
-		return udpTxBlast(transport.NewUDPPerPacket, opts)
-	}
-	return udpTxBlast(transport.NewUDPMmsg, opts)
 }
 
 // udpTxBlast measures TX datapath capacity on one engine: a sender
@@ -329,67 +274,4 @@ func udpTxBlast(newTr func(transport.Addr, string) (*transport.UDP, error), opts
 		res.SegsPerSyscall = float64(res.GsoSegments) / float64(sys)
 	}
 	return res
-}
-
-// UDPSyscallSweep runs the full before/after sweep: the per-packet
-// engine across every window, then the mmsg engine (when compiled in;
-// mmsg is nil otherwise). Each point is measured several times and the
-// best run kept: loopback RPC wall time on small hosts is bimodal (the
-// wake/park pipeline either stays hot or stutters at timer
-// granularity, for either engine), and best-of-N estimates the
-// no-interference capacity; syscalls/op is stable across modes. Rows
-// print as they are measured.
-func UDPSyscallSweep(opts Options, printf func(format string, a ...any)) (perPkt, mmsg []UDPSyscallResult) {
-	if printf == nil {
-		printf = func(string, ...any) {}
-	}
-	const reps = 5
-	row := func(perPacket bool, w int) UDPSyscallResult {
-		best := UDPSyscallMeasure(perPacket, w, opts)
-		for i := 1; i < reps; i++ {
-			if m := UDPSyscallMeasure(perPacket, w, opts); m.Krps > best.Krps {
-				best = m
-			}
-		}
-		printf("engine=%-10s window=%-2d  %8.1f krps  %6.2f syscalls/op  %d mmsg batches (best of %d)\n",
-			best.Engine, best.Window, best.Krps, best.SyscallsPerOp, best.MmsgBatches, reps)
-		best.BestOf = reps
-		return best
-	}
-	for _, w := range UDPSyscallWindows {
-		perPkt = append(perPkt, row(true, w))
-	}
-	if !UDPMmsgSupported {
-		return perPkt, nil
-	}
-	for _, w := range UDPSyscallWindows {
-		mmsg = append(mmsg, row(false, w))
-	}
-	return perPkt, mmsg
-}
-
-// UDPTxBlastSweep measures TX blast capacity on both engines (mmsg
-// nil when not compiled in), best of 3 runs each.
-func UDPTxBlastSweep(opts Options, printf func(format string, a ...any)) (perPkt, mmsg *UDPTxBlastResult) {
-	if printf == nil {
-		printf = func(string, ...any) {}
-	}
-	const reps = 3
-	row := func(perPacket bool) *UDPTxBlastResult {
-		best := UDPTxBlast(perPacket, opts)
-		for i := 1; i < reps; i++ {
-			if m := UDPTxBlast(perPacket, opts); m.Mpps > best.Mpps {
-				best = m
-			}
-		}
-		best.BestOf = reps
-		printf("engine=%-10s tx blast   %8.2f Mpps  %6.2f syscalls/pkt (best of %d)\n",
-			best.Engine, best.Mpps, best.SyscallsPerOp, reps)
-		return &best
-	}
-	perPkt = row(true)
-	if UDPMmsgSupported {
-		mmsg = row(false)
-	}
-	return perPkt, mmsg
 }

@@ -314,7 +314,7 @@ func incastRun(n int, cc bool, opts Options) (float64, float64, float64) {
 // comparable to Timely on a lossless RDMA fabric.
 func Sec65(opts Options) *Report {
 	opts = opts.norm()
-	rep := &Report{ID: "sec65", Title: "§6.5: 64 kB latency-sensitive RPCs during 100-way incast"}
+	rep := &Report{ID: "sec65", Title: "§6.5: 64 kB latency-sensitive RPCs in a 100-way incast"}
 	n := 100
 	if opts.Scale < 1 {
 		n = 20

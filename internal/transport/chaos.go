@@ -8,13 +8,16 @@ import (
 	"repro/internal/wire"
 )
 
-// Chaos wraps a Transport with a phase-scripted fault engine: the
-// generalization of Faulty from constant fault rates to a deterministic
-// timeline of fault regimes — loss storms, blackhole/partition windows,
-// straggler latency, duplication bursts — the adversity sweep the
+// Chaos wraps a Transport with a phase-scripted fault engine: a
+// deterministic timeline of fault regimes — loss storms,
+// blackhole/partition windows, straggler latency, duplication bursts,
+// overtake reordering — the adversity the RPC layer's at-most-once
+// semantics and eventual completion (paper §5.3, Table 4) and the
 // fault-tolerance layer (adaptive RTO, retry budgets, overload
-// shedding) is measured against. A fixed seed plus a fixed script
-// yields a reproducible fault sequence for a given packet order.
+// shedding) are tested and measured against. A fixed seed plus a fixed
+// script yields a reproducible fault sequence for a given packet
+// order. Constant fault rates are a one-phase script with
+// Dur: math.MaxInt64.
 //
 // Phase selection is driven by a caller-supplied clock (nanoseconds
 // from an arbitrary origin), so the same engine runs under the wall
@@ -23,8 +26,8 @@ import (
 // clean: packets pass untouched, which is what lets experiments measure
 // recovery after the fault clears.
 //
-// Like Faulty, faults are injected on the send side; wrap both ends to
-// subject both directions. The mutex makes Send/SendBurst safe from
+// Faults are injected on the send side; wrap both ends to subject both
+// directions. The mutex makes Send/SendBurst safe from
 // concurrent goroutines; delayed packets are released from whichever
 // transport call observes their due time first (event loops poll
 // RecvBurst constantly, bounding added release latency by the loop's
@@ -226,8 +229,14 @@ func (c *Chaos) Send(dst Addr, frame []byte) {
 
 // SendBurst implements Transport: every frame of the burst rolls the
 // active phase's lottery independently; survivors, duplicates and
-// released held packets go downstream as one burst, outside the
-// critical section (same structure as Faulty.SendBurst).
+// released held packets go downstream as one burst, so the wrapped
+// transport's batched TX path is exercised under faults. The
+// downstream flush happens outside the critical section, like Send:
+// holding c.mu across the wrapped transport's syscall would block every
+// concurrent Send for the duration of a kernel crossing. The scratch
+// burst is detached while in flight, so a (contract-violating but
+// harmless) concurrent SendBurst falls back to a fresh slice instead
+// of sharing it.
 func (c *Chaos) SendBurst(frames []Frame) {
 	now := c.now()
 	c.mu.Lock()

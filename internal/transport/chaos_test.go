@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -176,8 +180,8 @@ func TestChaosBurstFaults(t *testing.T) {
 	}
 }
 
-// TestChaosReorderOvertake checks Faulty-style reordering: a held
-// packet is released after enough later sends overtake it.
+// TestChaosReorderOvertake checks overtake reordering: a held packet
+// is released after enough later sends overtake it.
 func TestChaosReorderOvertake(t *testing.T) {
 	var now int64
 	sink := &sinkTransport{}
@@ -196,4 +200,96 @@ func TestChaosReorderOvertake(t *testing.T) {
 	if len(sink.sent) == 0 {
 		t.Fatal("no held packet was ever released by overtaking sends")
 	}
+}
+
+// constantFaults is a one-phase script that never ends: constant fault
+// rates for the wrapper's whole life.
+func constantFaults(drop, dup, reorder float64) []ChaosPhase {
+	return []ChaosPhase{{Dur: math.MaxInt64, Drop: drop, Dup: dup, Reorder: reorder}}
+}
+
+// TestChaosBurstConservation pushes bursts through the fault lottery
+// with drops, duplicates and reordering all active and checks frame
+// conservation: delivered = sent - drops + dups - still-held, with
+// reordered (held) frames eventually released by later traffic, and
+// no payload corrupted on the way.
+func TestChaosBurstConservation(t *testing.T) {
+	sink := &sinkTransport{}
+	c := NewChaos(sink, 7, func() int64 { return 0 }, constantFaults(0.2, 0.2, 0.2))
+	payload := []byte("abcdefgh")
+	const bursts = 200
+	const perBurst = 8
+	for i := 0; i < bursts; i++ {
+		var fr []Frame
+		for j := 0; j < perBurst; j++ {
+			fr = append(fr, Frame{Data: payload, Addr: Addr{1, 0}})
+		}
+		c.SendBurst(fr)
+	}
+	if c.Bursts.Load() != bursts {
+		t.Fatalf("Bursts = %d, want %d", c.Bursts.Load(), bursts)
+	}
+	if c.Drops.Load() == 0 || c.Dups.Load() == 0 || c.Reorders.Load() == 0 {
+		t.Fatalf("fault injector idle: drops=%d dups=%d reorders=%d", c.Drops.Load(), c.Dups.Load(), c.Reorders.Load())
+	}
+	sent := uint64(bursts * perBurst)
+	c.mu.Lock()
+	held := uint64(len(c.held))
+	c.mu.Unlock()
+	want := sent - c.Drops.Load() + c.Dups.Load() - held
+	if uint64(len(sink.sent)) != want {
+		t.Fatalf("downstream saw %d frames, want %d (sent %d, drops %d, dups %d, held %d)",
+			len(sink.sent), want, sent, c.Drops.Load(), c.Dups.Load(), held)
+	}
+	for _, f := range sink.sent {
+		if !bytes.Equal(f.Data, payload) {
+			t.Fatalf("corrupted frame %q", f.Data)
+		}
+	}
+}
+
+// TestChaosSendBurstNoLockHold checks the lock scope: a Send racing a
+// SendBurst whose downstream transport is slow must not wait for the
+// downstream call — only for the (cheap) fault lottery.
+func TestChaosSendBurstNoLockHold(t *testing.T) {
+	slow := &slowBurstTransport{entered: make(chan struct{}), release: make(chan struct{})}
+	c := NewChaos(slow, 1, func() int64 { return 0 }, constantFaults(0, 0, 0))
+	started := make(chan struct{})
+	go func() {
+		close(started)
+		c.SendBurst([]Frame{{Data: []byte("x"), Addr: Addr{1, 0}}})
+	}()
+	<-started
+	<-slow.entered // downstream SendBurst is now parked holding no Chaos lock
+	done := make(chan struct{})
+	go func() {
+		c.Send(Addr{1, 0}, []byte("y"))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Send blocked behind a slow downstream SendBurst (c.mu held across the flush)")
+	}
+	close(slow.release)
+}
+
+// slowBurstTransport parks SendBurst until released, to expose lock
+// scope in wrappers.
+type slowBurstTransport struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (s *slowBurstTransport) MTU() int                     { return 1472 }
+func (s *slowBurstTransport) LocalAddr() Addr              { return Addr{0, 0} }
+func (s *slowBurstTransport) Send(dst Addr, frame []byte)  {}
+func (s *slowBurstTransport) Recv() ([]byte, Addr, bool)   { return nil, Addr{}, false }
+func (s *slowBurstTransport) RecvBurst(frames []Frame) int { return 0 }
+func (s *slowBurstTransport) SetWake(fn func())            {}
+func (s *slowBurstTransport) Close() error                 { return nil }
+func (s *slowBurstTransport) SendBurst(frames []Frame) {
+	s.once.Do(func() { close(s.entered) })
+	<-s.release
 }

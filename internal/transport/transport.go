@@ -51,9 +51,7 @@
 // What the analyzers cannot prove absent, builds with -tags erpcdebug
 // catch at runtime: the sanitizer in debug_on.go panics on pool
 // double-puts (with the acquisition site), fast-path puts off the
-// owner goroutine, SegBuf refcount underflow/reuse-in-flight, and
-// io_uring registered-buffer misuse (double release, release while
-// the buffer's READ_FIXED SQE is still in flight with the kernel).
+// owner goroutine, and SegBuf refcount underflow/reuse-in-flight.
 package transport
 
 import "fmt"

@@ -29,40 +29,28 @@ import (
 //
 // # Syscall engines
 //
-// The socket I/O itself is pluggable between four engines:
+// The socket I/O itself runs on one of two engines:
 //
-//   - uring (Linux amd64/arm64, opt-in via NewUDPUring where the
-//     kernel supports io_uring — see UringSupported and
-//     UDPUringSupported): submission/completion rings shared with the
-//     kernel replace per-burst syscalls entirely. TX bursts become
-//     linked SENDMSG SQE chains published with one io_uring_enter —
-//     or zero syscalls when the SQPOLL kernel thread is awake — and
-//     RX re-posts READ_FIXED SQEs into a kernel-registered buffer
-//     slab, reaping completions from the CQ in userspace. The park/
-//     wake boundary moves from per-burst to per-idle-transition.
-//   - gso (Linux, default where the kernel supports UDP_SEGMENT/
-//     UDP_GRO — see GsoSupported and UDPGsoSupported): the mmsg engine
-//     plus segmentation offload. TX coalesces consecutive same-peer
-//     equal-size frames of a burst into one supersegment datagram sent
-//     with a UDP_SEGMENT cmsg, so up to ~44 MTU-sized (or hundreds of
-//     small) datagrams traverse the kernel stack once; RX enables
-//     UDP_GRO and splits returned supersegments back into pooled
-//     frames at the cmsg-reported segment size. Bursts become
-//     sendmmsg/recvmmsg calls *of supersegments*.
-//   - mmsg (Linux; the default where GSO is unavailable, forced with
-//     NewUDPMmsg or the `nogso` build tag): SendBurst and the reader
-//     goroutine use sendmmsg(2)/recvmmsg(2), so a full burst of N
-//     frames costs one kernel crossing instead of N — the socket-world
-//     analogue of the paper's one-DMA-flush-per-TX-burst discipline
-//     (§4.2). TX gathers the 4-byte source prefix and the frame as a
-//     two-entry iovec, so frames go to the kernel straight from the
-//     caller's buffers.
-//   - per-packet (all platforms; forced with the `nommsg` build tag or
-//     NewUDPPerPacket): one ReadFromUDPAddrPort/WriteToUDPAddrPort per
-//     datagram, the portable fallback.
+//   - gso (Linux amd64/arm64, the default where the kernel supports
+//     UDP_SEGMENT/UDP_GRO — see GsoSupported and UDPGsoSupported):
+//     SendBurst hands the whole burst to the kernel in one sendmmsg(2)
+//     call — the socket-world analogue of the paper's
+//     one-DMA-flush-per-TX-burst discipline (§4.2) — and coalesces
+//     consecutive same-peer equal-size frames into one UDP_SEGMENT
+//     supersegment, so up to ~44 MTU-sized (or hundreds of small)
+//     datagrams traverse the kernel stack once. TX gathers the 4-byte
+//     source prefix and each frame as iovec entries, so frames go to
+//     the kernel straight from the caller's buffers. The reader
+//     goroutine pulls bursts with recvmmsg(2) on a UDP_GRO socket and
+//     splits returned supersegments back into frames at the
+//     cmsg-reported segment size.
+//   - per-packet (all platforms; the fallback wherever the build or
+//     the kernel lacks UDP_SEGMENT/UDP_GRO, forced with the `nommsg`
+//     build tag or NewUDPPerPacket): one ReadFromUDPAddrPort/
+//     WriteToUDPAddrPort per datagram.
 //
 // The Syscalls and MmsgBatches counters expose the difference: a
-// loopback benchmark under the mmsg engine completes bursts with
+// loopback benchmark under the gso engine completes bursts with
 // Syscalls ≈ bursts, while the per-packet engine pays Syscalls ≈
 // packets. GsoSegments and GroBatches count datagrams moved inside TX
 // supersegments and RX supersegments received coalesced — the gso
@@ -105,7 +93,7 @@ type UDP struct {
 	// at least one datagram). MmsgBatches counts the subset that moved
 	// more than one datagram in a single syscall — always zero on the
 	// per-packet engine. Together they verify the batched datapath:
-	// a burst of N frames on the mmsg engine is one syscall, one batch.
+	// a burst of N frames on the gso engine is one syscall, one batch.
 	Syscalls    atomic.Uint64
 	MmsgBatches atomic.Uint64
 
@@ -127,32 +115,13 @@ type UDP struct {
 	// amortize) count under neither.
 	GroAliasedSegs atomic.Uint64
 	GroCopiedSegs  atomic.Uint64
-
-	// io_uring engine counters, all zero on other engines. On the uring
-	// engine every io_uring_enter invocation also counts under Syscalls,
-	// so syscalls_per_op stays the controlled cross-engine measure.
-	//
-	// UringSubmits counts enter calls that handed SQEs to the kernel —
-	// on the SQPOLL path submission happens without a syscall, so the
-	// gap between bursts sent and UringSubmits is the syscalls the
-	// shared rings removed. UringSqeLinked counts TX SQEs submitted as
-	// members of a multi-SQE linked chain (one chain per burst).
-	// UringCqeBatches counts CQ reap passes that harvested more than
-	// one completion — the RX-side coalescing proof, the uring analogue
-	// of MmsgBatches/GroBatches. UringSqpollWakeups counts enter calls
-	// forced by IORING_SQ_NEED_WAKEUP (the SQPOLL kernel thread had
-	// parked); a busy steady state keeps it near zero.
-	UringSubmits       atomic.Uint64
-	UringSqeLinked     atomic.Uint64
-	UringCqeBatches    atomic.Uint64
-	UringSqpollWakeups atomic.Uint64
 }
 
 // udpEngine is the socket-I/O strategy: how bursts reach the kernel
 // and how the reader goroutine pulls datagrams out of it. Both engines
 // share the UDP core (peer table, RX ring, pool, wake).
 type udpEngine interface {
-	// name identifies the engine ("gso", "mmsg" or "per-packet").
+	// name identifies the engine ("gso" or "per-packet").
 	name() string
 	// sendBurst transmits resolved frames. Called with u.txMu held;
 	// dsts[i] is the resolved destination of frames[i] (invalid =>
@@ -176,15 +145,12 @@ type udpDest struct {
 // the 4-byte source prefix) that returns to the pool on Release; data
 // is the frame payload aliasing buf's tail. When seg is non-nil the
 // packet instead aliases one segment of a refcounted GRO supersegment
-// (buf is nil) and releasing it drops one SegBuf reference. When ub is
-// non-nil the packet aliases a kernel-registered io_uring RX slot (buf
-// is nil) and releasing it re-posts the slot's read.
+// (buf is nil) and releasing it drops one SegBuf reference.
 type udpPkt struct {
 	buf  []byte
 	data []byte
 	from Addr
 	seg  *SegBuf
-	ub   *uringBuf
 }
 
 // DefaultUDPMTU bounds frames to a safe datagram size.
@@ -201,73 +167,25 @@ const (
 	udpRingMask = udpRingCap - 1
 )
 
-// Engine choices for the internal constructors: the best available
-// syscall engine (gso → mmsg → per-packet), mmsg-at-best (the gso
-// engine skipped, for before/after comparisons), the portable
-// per-packet engine, or the opt-in io_uring engine (with and without
-// the SQPOLL kernel thread; both fall back gso → mmsg → per-packet
-// when io_uring is unavailable). engAuto deliberately excludes uring:
-// shared-ring submission is a different kernel interface with its own
-// resource footprint (a pinned buffer slab and, under SQPOLL, a
-// kernel polling thread), so callers choose it explicitly.
-const (
-	engAuto = iota
-	engMmsg
-	engPerPacket
-	engUring
-	engUringNoSqpoll
-)
-
 // NewUDP binds a UDP socket at bind (e.g. "127.0.0.1:0") and returns a
 // transport using the platform's best syscall engine: the
-// segmentation-offload gso engine where the kernel supports
-// UDP_SEGMENT/UDP_GRO, batched sendmmsg/recvmmsg on other Linux
-// (unless built with the `nommsg` tag), the portable per-packet engine
-// elsewhere.
+// segmentation-offload gso engine where the build and the kernel
+// support UDP_SEGMENT/UDP_GRO, the portable per-packet engine
+// elsewhere (and under the `nommsg` tag).
 func NewUDP(local Addr, bind string) (*UDP, error) {
-	return newUDP(local, bind, engAuto)
-}
-
-// NewUDPMmsg binds a UDP socket like NewUDP but without the
-// segmentation-offload engine: batched sendmmsg/recvmmsg where
-// compiled in, the per-packet fallback elsewhere. It is the "before"
-// of the gso comparison (erpc-bench -gso) and the engine behind the
-// cmds' -gso=false knob.
-func NewUDPMmsg(local Addr, bind string) (*UDP, error) {
-	return newUDP(local, bind, engMmsg)
+	return newUDP(local, bind, false)
 }
 
 // NewUDPPerPacket binds a UDP socket like NewUDP but forces the
 // portable per-packet engine (one syscall per datagram) even where the
-// batched engines are available. It exists so the engines can be
-// compared in one process — the erpc-bench -udpsyscall sweep — and so
-// the fallback path is exercised by tests on Linux.
+// gso engine is available. It exists so the engines can be compared in
+// one process — the erpc-bench -gso sweep — and so the fallback path
+// is exercised by tests on Linux.
 func NewUDPPerPacket(local Addr, bind string) (*UDP, error) {
-	return newUDP(local, bind, engPerPacket)
+	return newUDP(local, bind, true)
 }
 
-// NewUDPUring binds a UDP socket like NewUDP but selects the io_uring
-// engine: TX bursts as linked SQE chains (one io_uring_enter per
-// burst, zero when the SQPOLL kernel thread is awake) and RX through
-// kernel-registered buffers reaped from the completion queue in
-// userspace. io_uring is opt-in rather than part of NewUDP's auto
-// selection; where the kernel lacks io_uring support (see
-// UDPUringSupported) or the build carries the `nouring` tag, the
-// transport falls back to the best syscall engine (gso → mmsg →
-// per-packet) and Engine reports which one it got.
-func NewUDPUring(local Addr, bind string) (*UDP, error) {
-	return newUDP(local, bind, engUring)
-}
-
-// NewUDPUringNoSqpoll is NewUDPUring without the SQPOLL kernel polling
-// thread: every flush pays one io_uring_enter instead of zero. It
-// exists so the SQPOLL contribution can be measured in one process and
-// so tests can pin the exactly-one-enter-per-burst contract.
-func NewUDPUringNoSqpoll(local Addr, bind string) (*UDP, error) {
-	return newUDP(local, bind, engUringNoSqpoll)
-}
-
-func newUDP(local Addr, bind string, choice int) (*UDP, error) {
+func newUDP(local Addr, bind string, perPacket bool) (*UDP, error) {
 	la, err := net.ResolveUDPAddr("udp", bind)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve %q: %w", bind, err)
@@ -276,12 +194,12 @@ func newUDP(local Addr, bind string, choice int) (*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", bind, err)
 	}
-	return newUDPConn(local, conn, choice), nil
+	return newUDPConn(local, conn, perPacket), nil
 }
 
 // newUDPConn wraps an already-bound socket (ListenUDPShards binds its
 // own sockets with SO_REUSEPORT set) and starts the reader goroutine.
-func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
+func newUDPConn(local Addr, conn *net.UDPConn, perPacket bool) *UDP {
 	u := &UDP{
 		conn:       conn,
 		local:      local,
@@ -294,20 +212,12 @@ func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 		rxPool:    NewPool(udpHdrLen+DefaultUDPMTU, udpRingCap+64),
 		txScratch: make([]byte, udpHdrLen+DefaultUDPMTU),
 	}
-	switch {
-	case choice == engPerPacket:
-		u.eng = &perPacketEngine{u: u}
-	case choice == engUring || choice == engUringNoSqpoll:
-		// newUringEngine falls back gso → mmsg → per-packet itself when
-		// io_uring is unavailable (kernel too old, nouring build, ring
-		// setup refused at runtime).
-		u.eng = newUringEngine(u, choice == engUring)
-	case choice == engAuto && GsoSupported && UDPGsoSupported():
-		// newGsoEngine falls back to the default engine itself if the
-		// socket refuses UDP_GRO (e.g. an exotic socket type).
+	if !perPacket && GsoSupported && UDPGsoSupported() {
+		// newGsoEngine falls back to per-packet itself if the socket
+		// refuses UDP_GRO (e.g. an exotic socket type).
 		u.eng = newGsoEngine(u)
-	default:
-		u.eng = newDefaultEngine(u)
+	} else {
+		u.eng = &perPacketEngine{u: u}
 	}
 	go func() {
 		defer close(u.readerDone)
@@ -335,33 +245,11 @@ func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 // client-mode session's responses must reach the endpoint that issued
 // the requests — give client endpoints distinct ports instead.
 func ListenUDPShards(node uint16, bind string, n int) ([]*UDP, error) {
-	return listenUDPShards(node, bind, n, engAuto)
-}
-
-// ListenUDPShardsMmsg is ListenUDPShards without the
-// segmentation-offload engine on the shard sockets (see NewUDPMmsg);
-// it backs the server cmds' -gso=false knob.
-func ListenUDPShardsMmsg(node uint16, bind string, n int) ([]*UDP, error) {
-	return listenUDPShards(node, bind, n, engMmsg)
-}
-
-// ListenUDPShardsUring is ListenUDPShards with the io_uring engine on
-// the shard sockets (see NewUDPUring); it backs the server cmds'
-// -uring knob. Each shard gets its own rings, registered buffer slab
-// and — where SQPOLL is granted — a kernel polling thread shared
-// across the shards' TX/RX rings, so no datapath state crosses
-// dispatch goroutines. Falls back per shard like NewUDPUring when
-// io_uring is unavailable.
-func ListenUDPShardsUring(node uint16, bind string, n int) ([]*UDP, error) {
-	return listenUDPShards(node, bind, n, engUring)
-}
-
-func listenUDPShards(node uint16, bind string, n, choice int) ([]*UDP, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transport: ListenUDPShards needs n >= 1 (got %d)", n)
 	}
 	if !ReusePortSupported {
-		return listenShardsFallback(node, bind, n, choice)
+		return listenShardsFallback(node, bind, n)
 	}
 	shards := make([]*UDP, 0, n)
 	addr := bind
@@ -378,7 +266,7 @@ func listenUDPShards(node uint16, bind string, n, choice int) ([]*UDP, error) {
 			// shard 0's port even when bind asked for port 0.
 			addr = conn.LocalAddr().String()
 		}
-		shards = append(shards, newUDPConn(Addr{Node: node, Port: uint16(i)}, conn, choice))
+		shards = append(shards, newUDPConn(Addr{Node: node, Port: uint16(i)}, conn, false))
 	}
 	return shards, nil
 }
@@ -386,7 +274,7 @@ func listenUDPShards(node uint16, bind string, n, choice int) ([]*UDP, error) {
 // listenShardsFallback is the portable ListenUDPShards layout: n
 // distinct ports (consecutive from bind's port, or all ephemeral when
 // it is 0), one per shard.
-func listenShardsFallback(node uint16, bind string, n, choice int) ([]*UDP, error) {
+func listenShardsFallback(node uint16, bind string, n int) ([]*UDP, error) {
 	host, portStr, err := net.SplitHostPort(bind)
 	if err != nil {
 		return nil, fmt.Errorf("transport: bad shard bind %q: %w", bind, err)
@@ -402,7 +290,7 @@ func listenShardsFallback(node uint16, bind string, n, choice int) ([]*UDP, erro
 			port = basePort + i
 		}
 		u, err := newUDP(Addr{Node: node, Port: uint16(i)},
-			net.JoinHostPort(host, strconv.Itoa(port)), choice)
+			net.JoinHostPort(host, strconv.Itoa(port)), false)
 		if err != nil {
 			for _, s := range shards {
 				s.Close()
@@ -414,10 +302,8 @@ func listenShardsFallback(node uint16, bind string, n, choice int) ([]*UDP, erro
 	return shards, nil
 }
 
-// Engine reports which syscall engine this transport runs on: "uring"
-// (io_uring shared-ring submission), "gso" (segmentation offload over
-// sendmmsg/recvmmsg), "mmsg" (batched sendmmsg/recvmmsg) or
-// "per-packet".
+// Engine reports which syscall engine this transport runs on: "gso"
+// (segmentation offload over sendmmsg/recvmmsg) or "per-packet".
 func (u *UDP) Engine() string { return u.eng.name() }
 
 // BoundAddr returns the socket's actual address (useful with port 0).
@@ -437,7 +323,7 @@ func (u *UDP) AddPeer(a Addr, udpAddr string) error {
 		ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	}
 	// Resolve a link-local zone to its interface index once, here: the
-	// mmsg engine writes raw sockaddr_in6 structs, whose Scope_id is
+	// gso engine writes raw sockaddr_in6 structs, whose Scope_id is
 	// numeric (netip only carries the zone name).
 	var scope uint32
 	if zone := ap.Addr().Zone(); zone != "" {
@@ -475,7 +361,7 @@ func (u *UDP) Send(dst Addr, frame []byte) {
 // SendBurst implements Transport: the whole batch is transmitted under
 // one TX lock acquisition (the paper's single DMA-queue flush per
 // burst), with destinations resolved under one peer-table lock — and,
-// on the mmsg engine, handed to the kernel in one sendmmsg call.
+// on the gso engine, handed to the kernel in one sendmmsg call.
 func (u *UDP) SendBurst(frames []Frame) {
 	if len(frames) == 0 {
 		return
@@ -541,14 +427,6 @@ func (u *UDP) enqueueSeg(sb *SegBuf, data []byte, from Addr) {
 	u.enqueuePkt(udpPkt{seg: sb, data: data, from: from})
 }
 
-// enqueueUring pushes one completed registered-buffer read into the RX
-// ring: data aliases ub's slot past the wire prefix, and the slot is
-// held by the ring entry until the frame's Release re-posts it
-// (released immediately on overflow).
-func (u *UDP) enqueueUring(ub *uringBuf, data []byte, from Addr) {
-	u.enqueuePkt(udpPkt{ub: ub, data: data, from: from})
-}
-
 // enqueuePkt pushes one received packet into the RX ring, recycling
 // its buffer on overflow. Runs on the reader goroutine, which owns
 // u.rxPool.
@@ -560,12 +438,9 @@ func (u *UDP) enqueuePkt(p udpPkt) {
 	if u.tail-u.head >= udpRingCap {
 		u.Drops.Add(1)
 		u.mu.Unlock()
-		switch {
-		case p.seg != nil:
+		if p.seg != nil {
 			p.seg.release()
-		case p.ub != nil:
-			p.ub.release()
-		default:
+		} else {
 			u.rxPool.Put(p.buf)
 		}
 		return
@@ -592,12 +467,9 @@ func (u *UDP) RecvBurst(frames []Frame) int {
 	n := 0
 	for n < len(frames) && u.head != u.tail {
 		p := &u.ring[u.head&udpRingMask]
-		switch {
-		case p.seg != nil:
+		if p.seg != nil {
 			frames[n] = Frame{Data: p.data, Addr: p.from, seg: p.seg}
-		case p.ub != nil:
-			frames[n] = Frame{Data: p.data, Addr: p.from, ub: p.ub}
-		default:
+		} else {
 			frames[n] = Frame{Data: p.data, Addr: p.from, pool: u.rxPool, base: p.buf, shared: true}
 		}
 		*p = udpPkt{}
@@ -624,12 +496,9 @@ func (u *UDP) Recv() ([]byte, Addr, bool) {
 	u.mu.Unlock()
 	out := make([]byte, len(p.data))
 	copy(out, p.data)
-	switch {
-	case p.seg != nil:
+	if p.seg != nil {
 		p.seg.release() // supersegment alias: drop its reference
-	case p.ub != nil:
-		p.ub.release() // registered slot: re-post its read
-	default:
+	} else {
 		u.rxPool.PutShared(p.buf) // caller is not the pool-owning reader
 	}
 	return out, p.from, true
@@ -642,17 +511,6 @@ func (u *UDP) SetWake(fn func()) {
 	u.mu.Unlock()
 }
 
-// engineShutdown is implemented by engines whose reader goroutine can
-// park somewhere a socket close does not reach (the io_uring engine's
-// reader waits on the completion queue, and registered files keep the
-// socket referenced past conn.Close). beginShutdown wakes such a
-// reader; finishShutdown, called after the reader has exited, releases
-// the engine's kernel resources.
-type engineShutdown interface {
-	beginShutdown()
-	finishShutdown()
-}
-
 // Close implements Transport. It is idempotent: closing an
 // already-closed transport is a no-op returning the first result.
 // Close joins the reader goroutine before returning, so afterwards the
@@ -662,14 +520,7 @@ func (u *UDP) Close() error {
 	u.closeOnce.Do(func() {
 		close(u.done)
 		u.closeErr = u.conn.Close()
-		s, hooked := u.eng.(engineShutdown)
-		if hooked {
-			s.beginShutdown()
-		}
 		<-u.readerDone
-		if hooked {
-			s.finishShutdown()
-		}
 	})
 	return u.closeErr
 }
@@ -691,22 +542,9 @@ func (u *UDP) closed() bool {
 	}
 }
 
-// uringFallbackEngine is the io_uring engine's graceful degradation
-// chain: the best syscall engine available — gso where the kernel
-// supports it, else the default (mmsg → per-packet) selection. Shared
-// by the runtime fallback in udp_uring_linux.go and the stub in
-// udp_uring_other.go.
-func uringFallbackEngine(u *UDP) udpEngine {
-	if GsoSupported && UDPGsoSupported() {
-		return newGsoEngine(u)
-	}
-	return newDefaultEngine(u)
-}
-
 // perPacketEngine is the portable fallback: one syscall per datagram
-// through the net package. It is compiled on every platform (the mmsg
-// engine needs it to exist for NewUDPPerPacket and the nommsg build)
-// and is the default where mmsg is unavailable.
+// through the net package. It is compiled on every platform and is the
+// default wherever the gso engine is unavailable.
 type perPacketEngine struct{ u *UDP }
 
 func (e *perPacketEngine) name() string { return "per-packet" }

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -11,7 +10,7 @@ import (
 // TestUDPCloseIdempotent is the regression test for the double-Close
 // panic: Close used to close(u.done) unconditionally, so a second call
 // panicked on the closed channel. Close must be idempotent (callers
-// like Faulty.Close and deferred cleanups overlap in practice).
+// like Chaos.Close and deferred cleanups overlap in practice).
 func TestUDPCloseIdempotent(t *testing.T) {
 	u, err := NewUDP(Addr{1, 0}, "127.0.0.1:0")
 	if err != nil {
@@ -22,10 +21,10 @@ func TestUDPCloseIdempotent(t *testing.T) {
 	if second != first {
 		t.Fatalf("second Close returned %v, first returned %v", second, first)
 	}
-	// And through a wrapper, as Faulty.Close + a deferred Close does.
-	f := NewFaulty(u, 1, 0, 0, 0)
-	if err := f.Close(); err != first {
-		t.Fatalf("Close through Faulty after Close = %v", err)
+	// And through a wrapper, as Chaos.Close + a deferred Close does.
+	c := NewChaos(u, 1, func() int64 { return 0 }, nil)
+	if err := c.Close(); err != first {
+		t.Fatalf("Close through Chaos after Close = %v", err)
 	}
 }
 
@@ -65,34 +64,33 @@ func TestUDPRecvRecycles(t *testing.T) {
 	}
 }
 
-// TestUDPEngineReported checks constructors pick the right engine.
+// TestUDPEngineReported pins engine selection: NewUDP, ListenUDPShards
+// (and erpc's ListenUDP on top of NewUDP) report "gso" exactly when the
+// build and the kernel both support it, and "per-packet" otherwise —
+// including under the nommsg tag; NewUDPPerPacket is always
+// "per-packet".
 func TestUDPEngineReported(t *testing.T) {
+	want := "per-packet"
+	if GsoSupported && UDPGsoSupported() {
+		want = "gso"
+	}
 	u, err := NewUDP(Addr{1, 0}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer u.Close()
-	want := "per-packet"
-	switch {
-	case GsoSupported && UDPGsoSupported():
-		want = "gso"
-	case MmsgSupported:
-		want = "mmsg"
-	}
 	if got := u.Engine(); got != want {
 		t.Fatalf("NewUDP engine = %q, want %q", got, want)
 	}
-	m, err := NewUDPMmsg(Addr{3, 0}, "127.0.0.1:0")
+	shards, err := ListenUDPShards(3, "127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	wantMmsg := "per-packet"
-	if MmsgSupported {
-		wantMmsg = "mmsg"
-	}
-	if got := m.Engine(); got != wantMmsg {
-		t.Fatalf("NewUDPMmsg engine = %q, want %q", got, wantMmsg)
+	for _, s := range shards {
+		defer s.Close()
+		if got := s.Engine(); got != want {
+			t.Fatalf("ListenUDPShards shard %v engine = %q, want %q", s.LocalAddr(), got, want)
+		}
 	}
 	p, err := NewUDPPerPacket(Addr{2, 0}, "127.0.0.1:0")
 	if err != nil {
@@ -101,22 +99,6 @@ func TestUDPEngineReported(t *testing.T) {
 	defer p.Close()
 	if got := p.Engine(); got != "per-packet" {
 		t.Fatalf("NewUDPPerPacket engine = %q", got)
-	}
-	// NewUDPUring gets the io_uring engine where compiled in and the
-	// kernel supports it, and otherwise falls back to exactly NewUDP's
-	// auto selection — this runs meaningfully under the nouring tag and
-	// on other platforms too.
-	r, err := NewUDPUring(Addr{4, 0}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	wantUring := want
-	if UringSupported && UDPUringSupported() {
-		wantUring = "uring"
-	}
-	if got := r.Engine(); got != wantUring {
-		t.Fatalf("NewUDPUring engine = %q, want %q", got, wantUring)
 	}
 }
 
@@ -149,14 +131,11 @@ func sendRecvBurst(t *testing.T, a, b *UDP, n int) [][]byte {
 }
 
 // TestUDPSendBurstOneSyscall is the acceptance check of the batched
-// datapath: on the mmsg engine, a SendBurst of N>1 frames must issue
+// datapath: on the gso engine, a SendBurst of N>1 frames must issue
 // exactly one sendmmsg — one kernel crossing, one multi-message batch
 // — while delivering every frame.
 func TestUDPSendBurstOneSyscall(t *testing.T) {
-	if !MmsgSupported {
-		t.Skip("mmsg engine not compiled in (nommsg tag or unsupported platform)")
-	}
-	a, b := newUDPPair(t)
+	a, b := gsoPair(t)
 	const n = 8
 	sys0, bat0 := a.Syscalls.Load(), a.MmsgBatches.Load()
 	rcvd := sendRecvBurst(t, a, b, n)
@@ -180,10 +159,7 @@ func TestUDPSendBurstOneSyscall(t *testing.T) {
 // attempt may legitimately see packets one at a time; any batching
 // within a few attempts proves the path.
 func TestUDPRecvBurstBatched(t *testing.T) {
-	if !MmsgSupported {
-		t.Skip("mmsg engine not compiled in (nommsg tag or unsupported platform)")
-	}
-	a, b := newUDPPair(t)
+	a, b := gsoPair(t)
 	const n = 16
 	var pkts, syscalls uint64
 	for attempt := 0; attempt < 20; attempt++ {
@@ -193,7 +169,7 @@ func TestUDPRecvBurstBatched(t *testing.T) {
 		syscalls += b.Syscalls.Load() - sys0
 		if b.MmsgBatches.Load() > 0 {
 			if syscalls >= pkts {
-				t.Fatalf("RX used %d syscalls for %d packets despite mmsg batching", syscalls, pkts)
+				t.Fatalf("RX used %d syscalls for %d packets despite recvmmsg batching", syscalls, pkts)
 			}
 			return
 		}
@@ -204,7 +180,7 @@ func TestUDPRecvBurstBatched(t *testing.T) {
 
 // TestUDPPerPacketCounters pins the fallback engine's cost model: one
 // syscall per datagram on each side, and never an mmsg batch — the
-// "before" column of the batched-syscall comparison.
+// "before" column of the gso comparison.
 func TestUDPPerPacketCounters(t *testing.T) {
 	a, err := NewUDPPerPacket(Addr{0, 0}, "127.0.0.1:0")
 	if err != nil {
@@ -234,50 +210,4 @@ func TestUDPPerPacketCounters(t *testing.T) {
 			t.Fatalf("frame %d = %q, want %q", i, data, want)
 		}
 	}
-}
-
-// TestFaultySendBurstNoLockHold checks the lock-scope fix: a Send
-// racing a SendBurst whose downstream transport is slow must not wait
-// for the downstream call — only for the (cheap) fault lottery.
-func TestFaultySendBurstNoLockHold(t *testing.T) {
-	slow := &slowBurstTransport{entered: make(chan struct{}), release: make(chan struct{})}
-	f := NewFaulty(slow, 1, 0, 0, 0)
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		f.SendBurst([]Frame{{Data: []byte("x"), Addr: Addr{1, 0}}})
-	}()
-	<-started
-	<-slow.entered // downstream SendBurst is now parked holding no Faulty lock
-	done := make(chan struct{})
-	go func() {
-		f.Send(Addr{1, 0}, []byte("y"))
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Send blocked behind a slow downstream SendBurst (f.mu held across the flush)")
-	}
-	close(slow.release)
-}
-
-// slowBurstTransport parks SendBurst until released, to expose lock
-// scope in wrappers.
-type slowBurstTransport struct {
-	entered chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (s *slowBurstTransport) MTU() int                     { return 1472 }
-func (s *slowBurstTransport) LocalAddr() Addr              { return Addr{0, 0} }
-func (s *slowBurstTransport) Send(dst Addr, frame []byte)  {}
-func (s *slowBurstTransport) Recv() ([]byte, Addr, bool)   { return nil, Addr{}, false }
-func (s *slowBurstTransport) RecvBurst(frames []Frame) int { return 0 }
-func (s *slowBurstTransport) SetWake(fn func())            {}
-func (s *slowBurstTransport) Close() error                 { return nil }
-func (s *slowBurstTransport) SendBurst(frames []Frame) {
-	s.once.Do(func() { close(s.entered) })
-	<-s.release
 }

@@ -1,16 +1,17 @@
-//go:build linux && !nommsg && !nogso && (amd64 || arm64)
+//go:build linux && !nommsg && (amd64 || arm64)
 
 package transport
 
-// The segmentation-offload engine: UDP generic segmentation offload
+// The segmentation-offload engine: sendmmsg(2)/recvmmsg(2) move a
+// whole RX/TX burst across the kernel boundary in one crossing — the
+// socket-world analogue of the paper's one-DMA-queue-flush-per-burst
+// discipline (§4.2) — and UDP generic segmentation offload
 // (UDP_SEGMENT, Linux 4.18+) and generic receive offload (UDP_GRO,
-// 5.0+) on top of the mmsg engine's sendmmsg/recvmmsg plumbing. The
-// mmsg engine amortizes the *syscall* over a burst, but every datagram
-// of the batch still traverses the kernel's UDP/IP stack individually;
-// GSO/GRO amortize that remaining per-datagram cost — the half of the
-// kernel budget syscall batching cannot touch, and the socket-world
-// analogue of the paper pushing batching below the doorbell into the
-// NIC's own DMA engine (§4.2).
+// 5.0+) amortize the remaining per-datagram cost: without them every
+// datagram of a batch would still traverse the kernel's UDP/IP stack
+// individually. Pushing batching below the syscall is the socket-world
+// analogue of the paper pushing it below the doorbell into the NIC's
+// own DMA engine.
 //
 //   - TX: consecutive frames of a burst bound for the same peer with
 //     the same wire size are gathered into ONE supersegment message —
@@ -21,7 +22,7 @@ package transport
 //     per *peer run* rather than per datagram. The iovec gather means
 //     coalescing copies nothing: frames (including core.Rpc's
 //     zero-copy msgbuf aliases) go to the kernel from the caller's
-//     buffers, exactly like the mmsg engine.
+//     buffers.
 //   - RX: UDP_GRO is enabled on the socket, so bursts of small
 //     datagrams (in particular whole TX supersegments crossing
 //     loopback, which are never segmented at all) arrive as one
@@ -30,19 +31,23 @@ package transport
 //     refcounted supersegment buffer (SegBuf) — zero-copy all the way
 //     to the dispatch loop, completing Appendix C on RX — and the
 //     buffer recycles when the last segment frame is released.
-//     Uncoalesced datagrams are copied into pooled wire buffers as
-//     before (nothing to amortize); either way the steady state
-//     allocates nothing.
+//     Uncoalesced datagrams are copied into pooled wire buffers
+//     (nothing to amortize); either way the steady state allocates
+//     nothing.
 //
-// The engine is compiled out with the `nogso` build tag (CI runs
-// -tags=nogso and -tags=nommsg,nogso legs) and skipped at runtime when
-// the kernel rejects the socket options (UDPGsoSupported probes once),
-// falling back to the mmsg engine. A third, per-socket fallback
-// handles path-MTU limits: the kernel refuses GSO sends whose
-// segments would need IP fragmentation (full-size frames on a
-// 1500-byte link, while loopback's 64 KiB MTU takes them), so a
-// bounced supersegment is degraded to per-segment sendmsg calls and
-// its segment size becomes the socket's coalescing ceiling (wireCap).
+// This would normally sit on golang.org/x/sys/unix; the build
+// environment is hermetic (no module downloads), so the engine uses
+// the stdlib syscall package directly. The stdlib lacks SYS_SENDMMSG
+// on some arches — udp_sysnum_*.go carries the number — which is why
+// the engine is gated to linux/amd64 and linux/arm64. Everywhere else,
+// under the `nommsg` build tag, and on kernels that reject the socket
+// options (UDPGsoSupported probes once) the per-packet engine takes
+// over. A further, per-socket fallback handles path-MTU limits: the
+// kernel refuses GSO sends whose segments would need IP fragmentation
+// (full-size frames on a 1500-byte link, while loopback's 64 KiB MTU
+// takes them), so a bounced supersegment is degraded to per-segment
+// sendmsg calls and its segment size becomes the socket's coalescing
+// ceiling (wireCap).
 
 import (
 	"net"
@@ -53,10 +58,18 @@ import (
 )
 
 // GsoSupported reports whether the segmentation-offload engine is
-// compiled into this binary (Linux amd64/arm64, no `nommsg`/`nogso`
-// tags). Whether it actually runs also depends on the kernel: see
+// compiled into this binary (Linux amd64/arm64, no `nommsg` tag).
+// Whether it actually runs also depends on the kernel: see
 // UDPGsoSupported.
 const GsoSupported = true
+
+// mmsghdr mirrors struct mmsghdr: a msghdr plus the kernel-filled
+// per-message byte count. Trailing padding matches the kernel layout
+// through Go's natural struct alignment on both supported arches.
+type mmsghdr struct {
+	hdr    syscall.Msghdr
+	msgLen uint32
+}
 
 const (
 	solUDP     = 17  // SOL_UDP (absent from the stdlib syscall package)
@@ -172,18 +185,18 @@ type gsoEngine struct {
 }
 
 // newGsoEngine returns the segmentation-offload engine for u's socket,
-// falling back to the platform default (mmsg) when the raw connection
-// is unavailable or the socket refuses UDP_GRO.
+// falling back to the per-packet engine when the raw connection is
+// unavailable or the socket refuses UDP_GRO.
 func newGsoEngine(u *UDP) udpEngine {
 	rc, err := u.conn.SyscallConn()
 	if err != nil {
-		return newDefaultEngine(u)
+		return &perPacketEngine{u: u}
 	}
 	var soErr error
 	if err := rc.Control(func(fd uintptr) {
 		soErr = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
 	}); err != nil || soErr != nil {
-		return newDefaultEngine(u)
+		return &perPacketEngine{u: u}
 	}
 	la, _ := u.conn.LocalAddr().(*net.UDPAddr)
 	e := &gsoEngine{
@@ -207,11 +220,17 @@ func newGsoEngine(u *UDP) udpEngine {
 	for i := range e.rsegs {
 		e.postSeg(i)
 	}
-	// Closures built once, like the mmsg engine: rc.Read/rc.Write take
-	// func values and a per-burst closure would heap-allocate on the
-	// hot path. Syscall6 (not RawSyscall6) keeps the scheduler's
-	// preemption points — see the mmsg engine's note on GOMAXPROCS=1
-	// loopback stalls.
+	// The syscall closures are built once: rc.Read/rc.Write take a
+	// func value, and allocating it per burst would put one closure
+	// per syscall on the heap — exactly what the zero-alloc datapath
+	// forbids. MSG_DONTWAIT keeps the calls non-blocking; the
+	// netpoller provides the blocking (false from the closure parks
+	// the goroutine until the socket is ready again). Syscall6, not
+	// RawSyscall6: the enter/exitsyscall bracket gives the scheduler
+	// its preemption point, so the peer's reader goroutine gets the
+	// CPU right after a flush — without it, low-core-count hosts
+	// stall every exchange into a timer park (measured 25x slower on
+	// GOMAXPROCS=1 loopback).
 	e.txFn = func(fd uintptr) bool {
 		n, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
 			uintptr(unsafe.Pointer(&e.thdrs[e.txLo])), uintptr(e.txHi-e.txLo),
@@ -244,7 +263,7 @@ func (e *gsoEngine) name() string { return "gso" }
 // gso_size, which equal-size runs satisfy); a frame with a new
 // destination or size opens a new message. Callers hold u.txMu.
 // Unknown peers, oversized frames and address-family mismatches are
-// dropped, like the other engines.
+// dropped, like the per-packet path.
 func (e *gsoEngine) sendBurst(dsts []udpDest, frames []Frame) {
 	m := 0      // messages filled
 	iov := 0    // iovec cursor
@@ -331,10 +350,15 @@ func (e *gsoEngine) appendSeg(iov, entries int, data []byte) {
 }
 
 // flush hands thdrs[:n] to the kernel, retrying the unsent tail after
-// short writes — the mmsg engine's discipline, with counter accounting
-// per supersegment: each successful sendmmsg is one syscall, a call
-// that moved more than one datagram is an mmsg batch, and every
-// multi-segment message adds its segment count to GsoSegments.
+// short writes. Transient whole-call failures (EINTR, exhausted
+// buffers) are retried so the engine is no lossier than the
+// per-packet path; anything else is treated as a per-datagram error
+// (e.g. ECONNREFUSED surfaced by a previous send's ICMP error) and
+// skips one message — best-effort, like the unreliable transport
+// contract. Counters are kept per supersegment: each successful
+// sendmmsg is one syscall, a call that moved more than one datagram is
+// an mmsg batch, and every multi-segment message adds its segment
+// count to GsoSegments.
 func (e *gsoEngine) flush(n int) {
 	retries := 0
 	for lo := 0; lo < n; {
@@ -420,6 +444,31 @@ func (e *gsoEngine) sendSegmented(m int) {
 		}
 	}
 }
+
+// putSockaddr fills the sockaddr storage for one destination and
+// returns its length: sockaddr_in on an AF_INET socket (is4),
+// sockaddr_in6 (with IPv4 destinations v4-mapped, and the zone
+// resolved by AddPeer as the numeric scope for link-local peers) on a
+// dual-stack socket.
+func putSockaddr(sa6 *syscall.RawSockaddrInet6, d udpDest, is4 bool) uint32 {
+	ap := d.ap
+	if is4 {
+		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa6))
+		sa.Family = syscall.AF_INET
+		putSockPort((*[2]byte)(unsafe.Pointer(&sa.Port)), ap.Port())
+		sa.Addr = ap.Addr().Unmap().As4()
+		return syscall.SizeofSockaddrInet4
+	}
+	sa6.Family = syscall.AF_INET6
+	putSockPort((*[2]byte)(unsafe.Pointer(&sa6.Port)), ap.Port())
+	sa6.Addr = ap.Addr().As16() // IPv4 becomes the v4-mapped form
+	sa6.Scope_id = d.scope
+	return syscall.SizeofSockaddrInet6
+}
+
+// putSockPort stores a port in network byte order regardless of host
+// endianness (the sockaddr port field is wire-format bytes).
+func putSockPort(b *[2]byte, p uint16) { b[0], b[1] = byte(p>>8), byte(p) }
 
 // groSegSize parses message i's control data for the UDP_GRO cmsg and
 // returns the segment stride of a coalesced receive, or 0 when the

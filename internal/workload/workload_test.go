@@ -80,7 +80,7 @@ func TestSymmetricWarmupExcluded(t *testing.T) {
 	w.Start()
 	sched.RunUntil(500 * sim.Microsecond)
 	if w.Completed != 0 {
-		t.Fatalf("completions counted during warmup: %d", w.Completed)
+		t.Fatalf("completions counted in warmup: %d", w.Completed)
 	}
 	sched.RunUntil(3 * sim.Millisecond)
 	if w.Completed == 0 {
