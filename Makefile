@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-quick fuzz fmt-check ci test-nommsg test-debug test-rpcbench
+.PHONY: build test race vet bench bench-quick fuzz fmt-check ci test-nommsg test-debug test-rpcbench test-single-p
 
 # The portable per-packet UDP engine, forced on Linux via the nommsg
 # build tag (CI runs this so the fallback cannot rot).
 test-nommsg:
 	$(GO) test -tags=nommsg ./...
+
+# The real-transport packages with one P: the dispatch loop must not
+# starve the netpoll-driven transport reader goroutines.
+test-single-p:
+	GOMAXPROCS=1 $(GO) test -count=1 ./erpc/ ./internal/core/ ./internal/transport/
 
 # rpcbench is a nested module, so the root `go test ./...` skips it;
 # its smoke test runs the benchmark end to end on every workload.
@@ -70,4 +75,4 @@ fuzz:
 	$(GO) test -fuzz FuzzProcessPkt -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRxBurst -fuzztime 30s ./internal/core/
 
-ci: fmt-check build vet race test-debug test-nommsg test-rpcbench
+ci: fmt-check build vet race test-debug test-nommsg test-single-p test-rpcbench

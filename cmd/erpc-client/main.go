@@ -182,7 +182,7 @@ func main() {
 	if *endpoints > 1 {
 		fmt.Printf("overall latency µs: %s\n", all.Summary())
 	}
-	fmt.Printf("retransmits: %d\n", st.Retransmits)
+	fmt.Printf("retransmits: %d, paced tx: %d of %d packets\n", st.Retransmits, st.PacedTx, st.PktsTx)
 	for _, tr := range trs {
 		tr.Close() // joins the reader: the per-endpoint counters below are final
 	}

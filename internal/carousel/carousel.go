@@ -5,9 +5,11 @@
 // time slots; the dispatch thread polls the wheel each event-loop
 // iteration and transmits every packet whose slot has been reached.
 //
-// Carousel requires a bounded difference between the current time and
-// a packet's scheduled time (the wheel horizon); Insert clamps
-// out-of-horizon times, mirroring the original design.
+// The slots cover a bounded window past the head (the wheel horizon).
+// Items scheduled beyond it wait in an overflow list and move into
+// their slot once the head comes within a horizon of them, so no item
+// is ever released before the start of its own slot, however far out
+// a slow pacing rate schedules it.
 package carousel
 
 import (
@@ -24,7 +26,12 @@ type Wheel[T any] struct {
 	horizon  sim.Time // gran * len(slots)
 	headIdx  int      // slot containing headTime
 	headTime sim.Time // start time of the head slot
-	size     int
+	size     int      // items in slots and overflow
+
+	// over holds items scheduled at or beyond headTime+horizon, in no
+	// particular order; overMin is the earliest of their times.
+	over    []item[T]
+	overMin sim.Time
 
 	// spare recycles the backing arrays of emptied slots, so the wheel
 	// allocates nothing in steady state. A processed slot's array must
@@ -65,16 +72,27 @@ func (w *Wheel[T]) Len() int { return w.size }
 func (w *Wheel[T]) Horizon() sim.Time { return w.horizon }
 
 // Insert schedules v for transmission at absolute time at. Times in
-// the past are placed in the head slot; times beyond the horizon are
-// clamped to the last slot (Carousel's bounded-horizon rule).
+// the past are placed in the head slot; times beyond the horizon wait
+// in the overflow list until the head comes within a horizon of them.
 func (w *Wheel[T]) Insert(at sim.Time, v T) {
 	w.Inserted++
+	w.size++
 	off := at - w.headTime
+	if off >= w.horizon {
+		if len(w.over) == 0 || at < w.overMin {
+			w.overMin = at
+		}
+		w.over = append(w.over, item[T]{at: at, v: v})
+		return
+	}
+	w.place(off, item[T]{at: at, v: v})
+}
+
+// place appends it to the slot off past the head (off < horizon;
+// negative offsets go to the head slot).
+func (w *Wheel[T]) place(off sim.Time, it item[T]) {
 	if off < 0 {
 		off = 0
-	}
-	if off >= w.horizon {
-		off = w.horizon - 1
 	}
 	idx := (w.headIdx + int(off/w.gran)) % len(w.slots)
 	if w.slots[idx] == nil {
@@ -85,8 +103,29 @@ func (w *Wheel[T]) Insert(at sim.Time, v T) {
 		// index the advancing head walks across the ring.
 		w.slots[idx] = w.popSpare()
 	}
-	w.slots[idx] = append(w.slots[idx], item[T]{at: at, v: v})
-	w.size++
+	w.slots[idx] = append(w.slots[idx], it)
+}
+
+// refill moves overflow items that are now within the horizon into
+// their slots.
+func (w *Wheel[T]) refill() {
+	end := w.headTime + w.horizon
+	if len(w.over) == 0 || w.overMin >= end {
+		return
+	}
+	keep := w.over[:0]
+	for _, it := range w.over {
+		if it.at < end {
+			w.place(it.at-w.headTime, it)
+			continue
+		}
+		if len(keep) == 0 || it.at < w.overMin {
+			w.overMin = it.at
+		}
+		keep = append(keep, it)
+	}
+	clear(w.over[len(keep):])
+	w.over = keep
 }
 
 // PollUntil advances the wheel head to now and calls fn for every item
@@ -96,6 +135,13 @@ func (w *Wheel[T]) PollUntil(now sim.Time, fn func(at sim.Time, v T)) int {
 	w.Polled++
 	delivered := 0
 	for w.headTime <= now {
+		if w.size == len(w.over) {
+			// Every slot is empty: jump the head to now, or to the
+			// earliest overflow item if that is sooner, rather than
+			// walking slot by slot.
+			w.skipTo(now)
+		}
+		w.refill()
 		slot := w.slots[w.headIdx]
 		if len(slot) > 0 {
 			w.slots[w.headIdx] = w.popSpare()
@@ -115,6 +161,21 @@ func (w *Wheel[T]) PollUntil(now sim.Time, fn func(at sim.Time, v T)) int {
 		w.headTime += w.gran
 	}
 	return delivered
+}
+
+// skipTo advances the head to the slot containing min(t, overMin).
+// The slots must be empty.
+func (w *Wheel[T]) skipTo(t sim.Time) {
+	if len(w.over) > 0 && w.overMin < t {
+		t = w.overMin
+	}
+	if t < w.headTime+w.gran {
+		return
+	}
+	k := (t - w.headTime) / w.gran
+	n := sim.Time(len(w.slots))
+	w.headIdx = int((sim.Time(w.headIdx) + k%n) % n)
+	w.headTime += k * w.gran
 }
 
 // popSpare takes a recycled slot backing (or nil, growing on demand).
@@ -138,9 +199,10 @@ func (w *Wheel[T]) pushSpare(slot []item[T]) {
 	w.spare = append(w.spare, slot[:0])
 }
 
-// Drain removes and returns every queued item regardless of time, in
-// slot order. eRPC uses this when destroying a session after a node
-// failure (Appendix B: wait for the rate limiter to empty).
+// Drain removes and returns every queued item regardless of time: the
+// slots in slot order, then the overflow list. eRPC uses this when
+// destroying a session after a node failure (Appendix B: wait for the
+// rate limiter to empty).
 func (w *Wheel[T]) Drain(fn func(at sim.Time, v T)) int {
 	n := 0
 	for i := 0; i < len(w.slots); i++ {
@@ -156,16 +218,26 @@ func (w *Wheel[T]) Drain(fn func(at sim.Time, v T)) int {
 		}
 		w.pushSpare(slot)
 	}
+	for _, it := range w.over {
+		fn(it.at, it.v)
+		n++
+	}
+	clear(w.over)
+	w.over = w.over[:0]
 	w.size = 0
 	return n
 }
 
 // NextDeadline returns the earliest scheduled item time and true, or
-// zero and false if the wheel is empty. It scans slots from the head;
-// O(numSlots) worst case, used only for idle-timer programming.
+// zero and false if the wheel is empty. It scans slots from the head
+// to the first non-empty one; O(numSlots) worst case, used only for
+// idle-timer programming.
 func (w *Wheel[T]) NextDeadline() (sim.Time, bool) {
 	if w.size == 0 {
 		return 0, false
+	}
+	if w.size == len(w.over) {
+		return w.overMin, true
 	}
 	for i := 0; i < len(w.slots); i++ {
 		idx := (w.headIdx + i) % len(w.slots)
@@ -175,6 +247,9 @@ func (w *Wheel[T]) NextDeadline() (sim.Time, bool) {
 				if it.at < min {
 					min = it.at
 				}
+			}
+			if len(w.over) > 0 && w.overMin < min {
+				min = w.overMin
 			}
 			return min, true
 		}

@@ -45,13 +45,102 @@ func TestPastInsertGoesToHead(t *testing.T) {
 	}
 }
 
-func TestBeyondHorizonClamped(t *testing.T) {
+// TestBeyondHorizonNotEarly: an item scheduled past the horizon waits
+// in the overflow list and is delivered at the start of its own slot —
+// neither released early into the last slot of the ring nor lost.
+func TestBeyondHorizonNotEarly(t *testing.T) {
 	w := New[int](8, 100) // horizon 800ns
-	w.Insert(1_000_000, 7)
+	w.Insert(1_000_050, 7)
+	if w.Len() != 1 {
+		t.Fatalf("len = %d, want 1", w.Len())
+	}
+	if d, ok := w.NextDeadline(); !ok || d != 1_000_050 {
+		t.Fatalf("deadline = %v,%v want 1000050,true", d, ok)
+	}
 	var got []int
-	w.PollUntil(800, func(_ sim.Time, v int) { got = append(got, v) })
-	if len(got) != 1 || got[0] != 7 {
-		t.Fatalf("beyond-horizon item should clamp to last slot: %v", got)
+	for now := sim.Time(0); now < 1_000_000; now += 700 {
+		if n := w.PollUntil(now, func(_ sim.Time, v int) { got = append(got, v) }); n != 0 {
+			t.Fatalf("delivered %v at t=%d, before its slot starts at 1000000", got, now)
+		}
+	}
+	w.PollUntil(999_999, func(_ sim.Time, v int) { got = append(got, v) })
+	if len(got) != 0 {
+		t.Fatalf("delivered %v at t=999999, before its slot", got)
+	}
+	w.PollUntil(1_000_000, func(_ sim.Time, v int) { got = append(got, v) })
+	if len(got) != 1 || got[0] != 7 || w.Len() != 0 {
+		t.Fatalf("at the slot start: got %v, len %d; want [7], 0", got, w.Len())
+	}
+}
+
+// TestNearFarInterleaved schedules items within and beyond the horizon,
+// interleaved over several revolutions of the ring, and polls in steps
+// that do not divide the slot width: items come out in time order, each
+// no earlier than its slot start, with NextDeadline and Len exact at
+// every step. Drain then returns everything still queued.
+func TestNearFarInterleaved(t *testing.T) {
+	const gran, slots = 100, 16 // horizon 1600ns
+	w := New[int](slots, gran)
+	var ats []sim.Time
+	for i := 0; i < 40; i++ {
+		// Alternate near (inside the horizon) and far (up to five
+		// revolutions out) times, inserted out of order.
+		at := sim.Time(i * 137 % 1500)
+		if i%2 == 1 {
+			at = sim.Time(1600 + i*211%6400)
+		}
+		ats = append(ats, at)
+		w.Insert(at, i)
+	}
+	pending := len(ats)
+	var last sim.Time = -1
+	for now := sim.Time(0); now < 5000; now += 70 {
+		want := sim.Time(-1)
+		for _, at := range ats {
+			if at >= 0 && (want < 0 || at < want) {
+				want = at
+			}
+		}
+		if d, ok := w.NextDeadline(); !ok || d != want {
+			t.Fatalf("t=%d: deadline = %v,%v want %v,true", now, d, ok, want)
+		}
+		w.PollUntil(now, func(at sim.Time, v int) {
+			if ats[v] != at {
+				t.Fatalf("item %d delivered with time %d, inserted at %d", v, at, ats[v])
+			}
+			if slotStart := at - at%gran; slotStart > now {
+				t.Fatalf("item %d (at %d) delivered early at t=%d", v, at, now)
+			}
+			if slotStart := at - at%gran; slotStart < last-last%gran {
+				t.Fatalf("item %d (at %d) delivered after an item at %d", v, at, last)
+			}
+			last = at
+			ats[v] = -1
+			pending--
+		})
+		if w.Len() != pending {
+			t.Fatalf("t=%d: len = %d, want %d", now, w.Len(), pending)
+		}
+	}
+	if pending == 0 {
+		t.Fatal("test schedule too short: nothing left to drain")
+	}
+	n := w.Drain(func(at sim.Time, v int) {
+		if ats[v] != at {
+			t.Fatalf("drained item %d with time %d, inserted at %d", v, at, ats[v])
+		}
+		ats[v] = -1
+	})
+	if n != pending || w.Len() != 0 {
+		t.Fatalf("drain returned %d (want %d), len %d", n, pending, w.Len())
+	}
+	for v, at := range ats {
+		if at >= 0 {
+			t.Fatalf("item %d (at %d) lost", v, at)
+		}
+	}
+	if _, ok := w.NextDeadline(); ok {
+		t.Fatal("drained wheel still reports a deadline")
 	}
 }
 
@@ -120,8 +209,9 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// Property: every inserted item is delivered exactly once, and no item
-// is delivered before the start of its (clamped) slot.
+// Property: every inserted item is delivered exactly once, never before
+// the start of its slot and at the first poll at or after it — whether
+// it was inserted within the horizon or beyond it.
 func TestNoLossNoEarlyProperty(t *testing.T) {
 	f := func(offsets []uint16) bool {
 		w := New[int](128, 64)
@@ -143,14 +233,12 @@ func TestNoLossNoEarlyProperty(t *testing.T) {
 			}
 		}
 		ok := true
-		for now := sim.Time(0); now <= mx+w.Horizon(); now += 200 {
+		for now := sim.Time(0); now <= mx+200; now += 200 {
 			w.PollUntil(now, func(_ sim.Time, v int) {
 				it := &items[v]
 				it.count++
-				// Items within the horizon (all inserted at t=0) may be
-				// delivered at most one slot early; items beyond the
-				// horizon are clamped by design and have no bound.
-				if it.at < w.Horizon() && it.at-now > 64 {
+				slotStart := it.at - it.at%64
+				if slotStart > now || now-slotStart >= 200 {
 					ok = false
 				}
 			})

@@ -368,6 +368,7 @@ func (r *Rpc) pollWheel() {
 			return // orphaned entry: slot finished, parked in reject
 			// backoff, or session failed
 		}
+		r.Stats.PacedTx++
 		r.txClientPkt(e.sess, e.slotIdx, e.kind, e.pktNum)
 	})
 }

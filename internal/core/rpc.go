@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -60,6 +61,14 @@ const (
 	rtoScanInterval = 100 * sim.Microsecond
 	wheelSlots      = 4096
 	wheelGran       = 200 * sim.Nanosecond
+
+	// timerFloor is the shortest wait a Go timer park actually
+	// delivers on Linux: an idle runtime sleeps in the netpoller
+	// (epoll_wait), whose timeout has millisecond resolution, so a
+	// timer of any shorter duration fires after about 1.1 ms. The
+	// event loop yields instead of parking when the rate limiter's
+	// next deadline is closer than this.
+	timerFloor = time.Millisecond
 )
 
 // Config configures an Rpc endpoint.
@@ -218,6 +227,7 @@ type Stats struct {
 	BytesTx       uint64
 	BytesRx       uint64
 	Retransmits   uint64 // go-back-N rollbacks
+	PacedTx       uint64 // client packets sent through the rate-limiter wheel
 	DMAFlushes    uint64
 	TxBursts      uint64 // SendBurst flushes (one DMA doorbell each)
 	StalePktsRx   uint64 // dropped: stale/duplicate/out-of-order
@@ -692,12 +702,15 @@ func (r *Rpc) RunEventLoopOnce() bool {
 	return r.Stats.PktsRx+r.Stats.PktsTx != before
 }
 
-// WaitForWork blocks until a packet arrival wakes the endpoint or d
-// elapses (real-transport mode only). Callers driving the loop by
-// hand use it on idle iterations: parking the goroutine lets the Go
-// runtime service the network poller immediately, which matters on
-// single-P machines where a spinning loop would otherwise wait for
-// sysmon's ~10 ms netpoll pass.
+// WaitForWork blocks until a packet arrival or Post wakes the endpoint
+// or a timer of duration d fires (real-transport mode only). The timer
+// cannot fire sooner than the netpoller's millisecond resolution
+// allows: on Linux any d under 1 ms waits about 1.1 ms when nothing
+// else wakes the endpoint. Callers driving the loop by hand use it on
+// idle iterations: parking the goroutine lets the Go runtime service
+// the network poller immediately, which matters on single-P machines
+// where a spinning loop would otherwise wait for sysmon's ~10 ms
+// netpoll pass.
 func (r *Rpc) WaitForWork(d time.Duration) {
 	if r.sched != nil {
 		panic("erpc: WaitForWork is for real-transport mode")
@@ -718,12 +731,21 @@ func (r *Rpc) WaitForWork(d time.Duration) {
 
 // RunEventLoop drives the endpoint until stop is closed (real
 // transport mode only). The loop polls hot while work arrives — the
-// paper's polling-based network I/O — and parks briefly when idle so
-// transport reader goroutines always make progress.
+// paper's polling-based network I/O. An idle iteration parks in
+// WaitForWork until a packet or Post wakes it, or for about a
+// millisecond (the timer floor), so transport reader goroutines always
+// make progress. When a paced packet is due sooner than that and the
+// process has more than one P, the iteration yields the processor
+// (runtime.Gosched) instead, so the packet leaves at its deadline
+// rather than up to a millisecond late.
 func (r *Rpc) RunEventLoop(stop <-chan struct{}) {
 	if r.sched != nil {
 		panic("erpc: RunEventLoop is for real-transport mode; simulation is scheduler-driven")
 	}
+	// With one P a yielding goroutine is rescheduled ahead of the
+	// netpoller, so the transport's reader goroutines would not run
+	// until the loop parked; there the loop always parks.
+	yield := runtime.GOMAXPROCS(0) > 1
 	for {
 		select {
 		case <-stop:
@@ -734,9 +756,14 @@ func (r *Rpc) RunEventLoop(stop <-chan struct{}) {
 			return
 		default:
 		}
-		if !r.RunEventLoopOnce() {
-			r.WaitForWork(200 * time.Microsecond)
+		if r.RunEventLoopOnce() {
+			continue
 		}
+		if d, ok := r.wheel.NextDeadline(); yield && ok && d-r.now() < sim.Time(timerFloor) {
+			runtime.Gosched()
+			continue
+		}
+		r.WaitForWork(200 * time.Microsecond)
 	}
 }
 

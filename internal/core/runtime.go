@@ -196,6 +196,7 @@ func (a *Stats) add(b *Stats) {
 	a.BytesTx += b.BytesTx
 	a.BytesRx += b.BytesRx
 	a.Retransmits += b.Retransmits
+	a.PacedTx += b.PacedTx
 	a.DMAFlushes += b.DMAFlushes
 	a.TxBursts += b.TxBursts
 	a.StalePktsRx += b.StalePktsRx
